@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cooling import gi_overlap, iterative_cooling
+from .cooling import CoolingReport, gi_overlap, iterative_cooling
 from .dynamics import (
     NoiseSpec,
     TrotterConfig,
@@ -97,6 +97,18 @@ def _write_csv(path: str | None, header: str, rows: list[str]) -> None:
             fh.write(text)
 
 
+def _warn_unconverged(reports: list[CoolingReport], tol: float) -> None:
+    """One stderr line if any cooling run stopped at its sweep budget."""
+    stuck = [r for r in reports if not r.converged]
+    if stuck:
+        worst = max(r.final_deficit for r in stuck)
+        print(
+            f"warning: cooling did not converge in {len(stuck)} of {len(reports)} runs; "
+            f"worst final deficit {worst:.6g} > tol {tol:g}",
+            file=sys.stderr,
+        )
+
+
 # ---------------------------------------------------------------------------
 # evolve / converge
 
@@ -112,6 +124,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     psi = vacuum_state()
     rho = np.outer(psi, psi.conj())
     rows = []
+    reports = []
     for step in range(1, cfg.n_steps + 1):
         psi = trotter_step_state(psi, trotter)
         rho = trotter_step(rho, trotter)
@@ -120,11 +133,13 @@ def cmd_evolve(cfg: RunConfig) -> int:
         if cfg.cool:
             rho, report = iterative_cooling(rho, tol=cfg.tol, max_sweeps=cfg.max_sweeps)
             sweeps = report.sweeps_used
+            reports.append(report)
         rows.append(
             f"{step},{_fmt(step * trotter.dt)},{_fmt(fidelity(rho, psi))},"
             f"{_fmt(gi_overlap(rho))},{sweeps}"
         )
     _write_csv(cfg.out, "step,time,fidelity,gi_overlap,sweeps_used", rows)
+    _warn_unconverged(reports, cfg.tol)
     return 0
 
 
@@ -145,6 +160,7 @@ def cmd_converge(cfg: RunConfig) -> int:
         for sweep, overlap in enumerate(report.overlaps)
     ]
     _write_csv(cfg.out, "sweep,gi_overlap,deficit", rows)
+    _warn_unconverged([report], cfg.tol)
     return 0
 
 

@@ -23,19 +23,26 @@ The two J=1/2 branches land on disjoint singlet labels (diagonal vs.
 off-diagonal (n_out, m_in) pairs), so sigma is injective across the full
 multiplicity and the channel is trace preserving.
 
-Applying the channel uses the narrow factors directly,
-rho' = sum_{J,N} S (B^T rho B) S^T, never forming 625x625 Kraus matrices.
+Every operator here acts only on the vertex's two edges: K_{J,N} is a
+25x25 pair operator k_{J,N} times the identity on the two spectator edges,
+and the same k serve every vertex.  ``cool_vertex`` permutes rho to
+(pair ket, pair bra) x (spectator ket, spectator bra) and applies the pair
+superoperator sum_{J,N} k (x) conj(k) to the rows; the overlap and the
+syndrome weights are traces of 25x25 pair projectors against the reduced
+pair state.  The dense 625-dim Kraus operators (``recovery_kraus``) remain
+as the reference those kernels are tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .lattice import N_EDGES, build_cg_basis, singlet_projector
+from .lattice import EDGE_DIM, N_EDGES, TOTAL_DIM, build_cg_basis, pair_cg_basis, pair_edges
 from .su2 import _twice
 
 __all__ = [
@@ -116,20 +123,17 @@ def syndrome_operator(v: int, j, m, n) -> np.ndarray:
 def syndrome_probabilities(rho: np.ndarray, v: int) -> dict[Syndrome, float]:
     """p(J,M,N) = tr(P_N^J rho)/(2J+1) for every outcome at vertex v."""
     _vertex_check(v)
-    basis = build_cg_basis(v)
+    rho_pair = _reduced_pair_state(rho, v)
+    weights = {
+        key: float(np.real(np.einsum("ij,ji->", p, rho_pair)))
+        for key, p in _pair_projectors().items()
+    }
     probs: dict[Syndrome, float] = {}
-    for tj in sorted(basis.mu):
-        j = Fraction(tj, 2)
-        weights = {}
-        for tn in range(-tj, tj + 1, 2):
-            cols, _ = basis.columns(tj, tn)
-            bn = basis.basis[:, cols]
-            weights[tn] = float(np.real(np.einsum("ia,ij,ja->", bn, rho, bn)))
+    for tj, tn in weights:
         for tm in range(-tj, tj + 1, 2):
-            for tn in range(-tj, tj + 1, 2):
-                key = Syndrome(j, Fraction(tm, 2), Fraction(tn, 2))
-                probs[key] = weights[tn] / (tj + 1)
-    return probs
+            key = Syndrome(Fraction(tj, 2), Fraction(tm, 2), Fraction(tn, 2))
+            probs[key] = weights[tj, tn] / (tj + 1)
+    return dict(sorted(probs.items()))
 
 
 def _paired_singlet_alpha(alpha: tuple) -> tuple:
@@ -145,22 +149,20 @@ def _paired_singlet_alpha(alpha: tuple) -> tuple:
     blocks.  This assignment fixes the channel's contraction spectrum; the
     convergence tests pin its per-sweep factor.
     """
-    sector, n_out, m_in, r1, r2 = alpha
+    sector, n_out, m_in, *rest = alpha
     if sector == "hh" or sector == "00":
         return alpha
     if sector == "h0":
-        return ("hh", n_out, 0, r1, r2)
+        return ("hh", n_out, 0, *rest)
     if sector == "0h":
         if m_in == 0:
-            return ("00", -1, -1, r1, r2)
-        return ("hh", 0, 1, r1, r2)
+            return ("00", -1, -1, *rest)
+        return ("hh", 0, 1, *rest)
     raise ValueError(f"unknown sector {sector!r}")
 
 
-@lru_cache(maxsize=None)
-def _cooler_factors(v: int) -> tuple[tuple[Fraction, Fraction, np.ndarray, np.ndarray], ...]:
-    """Per (J,N): the source columns B and their paired singlet columns S."""
-    basis = build_cg_basis(v)
+def _recovery_factors(basis) -> tuple[tuple[Fraction, Fraction, np.ndarray, np.ndarray], ...]:
+    """Per (J,N): the source columns B of ``basis`` and their paired singlet columns S."""
     singlet_index = {
         e.alpha: e.column for e in basis.entries if e.twice_J == 0
     }
@@ -177,6 +179,63 @@ def _cooler_factors(v: int) -> tuple[tuple[Fraction, Fraction, np.ndarray, np.nd
             s.setflags(write=False)
             factors.append((Fraction(tj, 2), Fraction(tn, 2), b, s))
     return tuple(factors)
+
+
+@lru_cache(maxsize=None)
+def _cooler_factors(v: int) -> tuple[tuple[Fraction, Fraction, np.ndarray, np.ndarray], ...]:
+    """The dense 625-dim factors at vertex v, from which ``recovery_kraus`` is built."""
+    return _recovery_factors(build_cg_basis(v))
+
+
+@lru_cache(maxsize=1)
+def _pair_superoperator() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, columns, block) of sum_{J,N} k_{J,N} (x) conj(k_{J,N}).
+
+    It acts on the 625 (pair ket, pair bra) index pairs; only the 81 rows
+    and 113 columns holding its 387 nonzeros are kept, as one dense block.
+    """
+    kraus = [s @ b.T for _, _, b, s in _recovery_factors(pair_cg_basis())]
+    sup = sum(np.kron(k, k.conj()) for k in kraus)
+    nonzero = sup != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    block = sup[np.ix_(rows, cols)]
+    for a in (rows, cols, block):
+        a.setflags(write=False)
+    return rows, cols, block
+
+
+@lru_cache(maxsize=1)
+def _pair_projectors() -> dict[tuple[int, int], np.ndarray]:
+    """25x25 pair projector onto each (2J, 2N) component, J then N ascending."""
+    basis = pair_cg_basis()
+    projectors = {}
+    for tj in sorted(basis.mu):
+        for tn in range(-tj, tj + 1, 2):
+            cols, _ = basis.columns(tj, tn)
+            b = basis.basis[:, cols]
+            p = b @ b.conj().T
+            p.setflags(write=False)
+            projectors[tj, tn] = p
+    return projectors
+
+
+@lru_cache(maxsize=None)
+def _pair_axes(v: int) -> tuple[int, ...]:
+    """Axes of the 8-index rho: (pair ket, pair bra, spectator ket, spectator bra)."""
+    edges = pair_edges(v)
+    bra = [N_EDGES + e for e in edges]
+    return (*edges[:2], *bra[:2], *edges[2:], *bra[2:])
+
+
+def _pair_view(rho: np.ndarray, v: int) -> np.ndarray:
+    return rho.reshape((EDGE_DIM,) * (2 * N_EDGES)).transpose(_pair_axes(v))
+
+
+def _reduced_pair_state(rho: np.ndarray, v: int) -> np.ndarray:
+    """The two edges of vertex v with the spectators traced out, as 25x25."""
+    pair = np.einsum("abcdefef->abcd", _pair_view(rho, v))
+    return pair.reshape(EDGE_DIM**2, EDGE_DIM**2)
 
 
 @dataclass(frozen=True)
@@ -210,10 +269,14 @@ def recovery_kraus(v: int) -> KrausChannel:
 def cool_vertex(rho: np.ndarray, v: int) -> np.ndarray:
     """Apply the recovery channel at vertex v: rho -> sum_K K rho K^dagger."""
     _vertex_check(v)
-    out = np.zeros_like(rho, dtype=complex)
-    for _, _, b, s in _cooler_factors(v):
-        out += s @ (b.T @ rho @ b) @ s.T
-    return out
+    rows, cols, block = _pair_superoperator()
+    pair_shape = (EDGE_DIM,) * 4  # (out ket, in ket, out bra, in bra)
+    source = _pair_view(rho, v)[np.unravel_index(cols, pair_shape)]
+    out = np.zeros((EDGE_DIM,) * (2 * N_EDGES), dtype=complex)
+    out.transpose(_pair_axes(v))[np.unravel_index(rows, pair_shape)] = np.tensordot(
+        block, source, axes=1
+    )
+    return out.reshape(TOTAL_DIM, TOTAL_DIM)
 
 
 def cooling_sweep(rho: np.ndarray) -> np.ndarray:
@@ -225,9 +288,10 @@ def cooling_sweep(rho: np.ndarray) -> np.ndarray:
 
 def gi_overlap(rho: np.ndarray) -> float:
     """(1/4) sum_v tr(Pi_0^(v) rho): average vertex singlet-sector weight."""
+    p0 = _pair_projectors()[0, 0]
     total = 0.0
     for v in range(N_VERTICES):
-        total += float(np.real(np.einsum("ij,ji->", singlet_projector(v), rho)))
+        total += float(np.real(np.einsum("ij,ji->", p0, _reduced_pair_state(rho, v))))
     return total / N_VERTICES
 
 
@@ -235,8 +299,8 @@ def iterative_cooling(
     rho: np.ndarray, tol: float = 1e-5, max_sweeps: int = 10
 ) -> tuple[np.ndarray, CoolingReport]:
     """Sweep until the GI overlap exceeds 1 - tol or max_sweeps is reached."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not math.isfinite(tol) or tol <= 0:
+        raise ValueError("tol must be a finite positive number")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     overlaps = [gi_overlap(rho)]

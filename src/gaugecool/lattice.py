@@ -20,13 +20,15 @@ the incoming edge, giving gauge generators
     G_a = L_a + R_a,   L_a = -J_a^T on m(e_out),   R_a = J_a on n(e_in),
 
 and the unitary gauge action U(g) = conj(pi_j(g)) on m(e_out) times
-pi_j(g) on n(e_in).  Everything here is dense numpy at 625 dimensions.
+pi_j(g) on n(e_in).  Operators are dense numpy at 625 dimensions; the
+vertex bases are built on a vertex's two edges (25 dimensions) and lifted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import groupby
 
 import numpy as np
 
@@ -50,6 +52,8 @@ __all__ = [
     "CGEntry",
     "VertexCGBasis",
     "build_cg_basis",
+    "pair_edges",
+    "pair_cg_basis",
     "singlet_projector",
     "physical_subspace_basis",
     "physical_subspace_dimension",
@@ -194,7 +198,8 @@ def gauge_action(v: int, g: np.ndarray) -> np.ndarray:
 # Casimir and G_z on the small acted factor, fixing the lowest-weight phase
 # (largest-magnitude component real positive, lowest index on ties) and
 # climbing with the normalized raising operator.  Every resulting vector has
-# definite spectator quantum numbers by construction.
+# definite spectator quantum numbers by construction: it is a vector on the
+# vertex's two edges (``pair_cg_basis``) times a product state of the other two.
 
 _SECTORS = ("00", "h0", "0h", "hh")
 
@@ -280,12 +285,13 @@ class CGEntry:
 
 
 class VertexCGBasis:
-    """Orthonormal basis {|J, M, alpha>} of the 625-dim space at one vertex."""
+    """Orthonormal basis {|J, M, alpha>} of the 625-dim space at one vertex,
+    or of the 25-dim edge pair of a vertex (``vertex`` is None)."""
 
-    def __init__(self, vertex: int, entries: list[CGEntry], basis: np.ndarray):
+    def __init__(self, vertex: int | None, entries: list[CGEntry], basis: np.ndarray):
         self.vertex = vertex
         self.entries = entries
-        self.basis = basis  # (625, 625), column k is entries[k]'s vector
+        self.basis = basis  # column k is entries[k]'s vector
         mu: dict[int, int] = {}
         for e in entries:
             if e.twice_M == -e.twice_J:
@@ -306,33 +312,18 @@ class VertexCGBasis:
         cols, _ = self.columns(0, 0)
         return self.basis[:, cols]
 
-    def vector(self, twice_J: int, twice_M: int, alpha: tuple) -> np.ndarray:
-        for e in self.entries:
-            if (e.twice_J, e.twice_M, e.alpha) == (twice_J, twice_M, alpha):
-                return self.basis[:, e.column]
-        raise KeyError((twice_J, twice_M, alpha))
 
-
-def _sector_spectators(v: int, sector: str):
-    """All spectator tuples (n_out, m_in, rest1, rest2) for a sector, sorted."""
-    e_out, e_in = vertex_edges(v)
+def _pair_spectators(sector: str):
+    """Passive labels (n_out, m_in) of a sector, sorted; -1 where the edge is at j=0."""
     n_out_opts = [-1] if sector in ("00", "0h") else [0, 1]
     m_in_opts = [-1] if sector in ("00", "h0") else [0, 1]
-    out = []
-    for n_out in n_out_opts:
-        for m_in in m_in_opts:
-            for r1 in range(EDGE_DIM):
-                for r2 in range(EDGE_DIM):
-                    out.append((n_out, m_in, r1, r2))
-    return sorted(out)
+    return [(n_out, m_in) for n_out in n_out_opts for m_in in m_in_opts]
 
 
-def _assemble(v: int, sector: str, spect: tuple, factor_vec: np.ndarray) -> np.ndarray:
-    """Lift an acted-factor vector with fixed spectators into the 625 space."""
-    e_out, e_in = vertex_edges(v)
-    rest = sorted(set(range(N_EDGES)) - {e_out, e_in})
-    n_out, m_in, r1, r2 = spect
-    vec = np.zeros(TOTAL_DIM, dtype=complex)
+def _pair_vector(sector: str, spect: tuple, factor_vec: np.ndarray) -> np.ndarray:
+    """Lift an acted-factor vector with fixed passive labels into the pair space."""
+    n_out, m_in = spect
+    vec = np.zeros((EDGE_DIM, EDGE_DIM), dtype=complex)  # (out state, in state)
     if sector == "00":
         acted = [((), factor_vec[0])]
     elif sector == "h0":
@@ -344,20 +335,46 @@ def _assemble(v: int, sector: str, spect: tuple, factor_vec: np.ndarray) -> np.n
     for idx_tuple, coeff in acted:
         if coeff == 0.0:
             continue
-        states = [0] * N_EDGES
-        states[rest[0]], states[rest[1]] = r1, r2
-        if sector in ("h0", "hh"):
-            m_out = idx_tuple[0]
-            states[e_out] = 1 + m_out * 2 + n_out
-        else:
-            states[e_out] = 0
-        if sector in ("0h", "hh"):
-            n_in = idx_tuple[-1]
-            states[e_in] = 1 + m_in * 2 + n_in
-        else:
-            states[e_in] = 0
-        vec[product_index(*states)] += coeff
-    return vec
+        i_out = 1 + idx_tuple[0] * 2 + n_out if sector in ("h0", "hh") else 0
+        i_in = 1 + m_in * 2 + idx_tuple[-1] if sector in ("0h", "hh") else 0
+        vec[i_out, i_in] += coeff
+    return vec.reshape(-1)
+
+
+def pair_edges(v: int) -> tuple[int, int, int, int]:
+    """(outgoing, incoming, spectator, spectator) edges at v, spectators ascending."""
+    e_out, e_in = vertex_edges(v)
+    rest = sorted(set(range(N_EDGES)) - {e_out, e_in})
+    return (e_out, e_in, *rest)
+
+
+@lru_cache(maxsize=None)
+def pair_cg_basis() -> VertexCGBasis:
+    """The vertex basis on the two edges the gauge action touches.
+
+    Columns are the 25 vectors |J, M, (sector, n_out, m_in)> over the pair
+    index 5 * i_out + i_in, ordered as in ``build_cg_basis``.  Every vertex
+    has the same pair basis; its 625-dim basis is this one times each product
+    state of the two spectator edges.
+    """
+    records = []  # (twice_J, sector_rank, (n_out, m_in), chain)
+    for rank, sector in enumerate(_SECTORS):
+        chains = _acted_factor_chains(sector)
+        for spect in _pair_spectators(sector):
+            for tj, chain in chains:
+                records.append((tj, rank, spect, chain))
+    records.sort(key=lambda r: (r[0], r[1], r[2]))
+    entries: list[CGEntry] = []
+    basis = np.zeros((EDGE_DIM**2, EDGE_DIM**2), dtype=complex)
+    for tj, rank, spect, chain in records:
+        sector = _SECTORS[rank]
+        for k, factor_vec in enumerate(chain):
+            col = len(entries)
+            basis[:, col] = _pair_vector(sector, spect, factor_vec)
+            entries.append(CGEntry(tj, -tj + 2 * k, (sector, *spect), col))
+    assert len(entries) == EDGE_DIM**2
+    basis.setflags(write=False)
+    return VertexCGBasis(None, entries, basis)
 
 
 @lru_cache(maxsize=None)
@@ -367,29 +384,27 @@ def build_cg_basis(v: int) -> VertexCGBasis:
 
     Columns are grouped J ascending (so the first mu_0 columns span the
     singlet sector), then by alpha in a fixed lexicographic order, then by
-    M ascending within each chain.
+    M ascending within each chain.  Each column is a ``pair_cg_basis``
+    column on the vertex's two edges times a spectator product state.
     """
     if not 0 <= v < 4:
         raise ValueError("vertex index out of range")
-    records = []  # (twice_J, sector_rank, spect, chain)
-    for rank, sector in enumerate(_SECTORS):
-        chains = _acted_factor_chains(sector)
-        for spect in _sector_spectators(v, sector):
-            for tj, chain in chains:
-                records.append((tj, rank, spect, chain))
-    records.sort(key=lambda r: (r[0], r[1], r[2]))
+    pair = pair_cg_basis()
+    n_spect = EDGE_DIM**2
+    # rows in (out, in, spectator, spectator) edge order until the final transpose
+    lifted = np.zeros((EDGE_DIM**2, n_spect, TOTAL_DIM), dtype=complex)
     entries: list[CGEntry] = []
-    basis = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
-    col = 0
-    for tj, rank, spect, chain in records:
-        sector = _SECTORS[rank]
-        alpha = (sector, *spect)
-        for k, factor_vec in enumerate(chain):
-            tm = -tj + 2 * k
-            basis[:, col] = _assemble(v, sector, spect, factor_vec)
-            entries.append(CGEntry(tj, tm, alpha, col))
-            col += 1
-    assert col == TOTAL_DIM
+    for _, chain in groupby(pair.entries, key=lambda e: (e.twice_J, e.alpha)):
+        chain = list(chain)
+        for r in range(n_spect):
+            for e in chain:
+                col = len(entries)
+                lifted[:, r, col] = pair.basis[:, e.column]
+                entries.append(CGEntry(e.twice_J, e.twice_M, (*e.alpha, *divmod(r, EDGE_DIM)), col))
+    assert len(entries) == TOTAL_DIM
+    order = (*np.argsort(pair_edges(v)), N_EDGES)
+    basis = lifted.reshape((EDGE_DIM,) * N_EDGES + (TOTAL_DIM,)).transpose(order)
+    basis = basis.reshape(TOTAL_DIM, TOTAL_DIM)
     basis.setflags(write=False)
     return VertexCGBasis(v, entries, basis)
 

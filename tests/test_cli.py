@@ -172,6 +172,34 @@ def test_invalid_g2_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--g2", "nan"],
+        ["evolve", "--time", "inf"],
+        ["evolve", "--cool", "on", "--tol", "nan"],
+    ],
+)
+def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "ev.csv"
+    assert main([*argv, "--steps", "2", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unconverged_cooling_warns_on_stderr(tmp_path, capsys):
+    # At its defaults the single step ends at deficit 1.013e-5 > tol 1e-5.
+    code, _, rows = run_csv(tmp_path, "conv.csv", ["converge"])
+    assert code == 0 and len(rows) == 11
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: cooling did not converge in 1 of 1 runs")
+    assert "1.01346e-05" in err[0]
+    # Cooling that meets its tolerance stays quiet.
+    assert main(["converge", "--rate", "0", "--out", str(tmp_path / "quiet.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_stdout_when_no_out_flag(capsys):
     assert main(["converge", "--max-sweeps", "1"]) == 0
     out = capsys.readouterr().out

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gaugecool.cooling import (
     CoolingReport,
+    _pair_superoperator,
     Syndrome,
     cool_vertex,
     cooling_sweep,
@@ -198,6 +199,39 @@ def test_cool_vertex_fixes_gauge_invariant_states():
         assert np.max(np.abs(cool_vertex(rho, v) - rho)) < 1e-12
 
 
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 8, TOTAL_DIM]))
+@settings(max_examples=4, deadline=None)
+def test_local_kernels_match_dense_oracles(seed, rank):
+    # Full-rank complex states included: the pair-local recovery, overlap and
+    # syndrome weights against the dense 625-dim channel and projectors.
+    rho = random_density(np.random.default_rng(seed), rank=rank)
+    for v in range(4):
+        dense = recovery_kraus(v).apply(rho)
+        assert np.max(np.abs(cool_vertex(rho, v) - dense)) <= 1e-12
+        basis = build_cg_basis(v)
+        for syn, p in syndrome_probabilities(rho, v).items():
+            cols, _ = basis.columns(int(2 * syn.j), int(2 * syn.n))
+            bn = basis.basis[:, cols]
+            weight = np.real(np.sum(bn.conj() * (rho @ bn))) / (2 * syn.j + 1)
+            assert abs(p - weight) <= 1e-12
+    dense_overlap = np.mean([np.real(np.trace(singlet_projector(v) @ rho)) for v in range(4)])
+    assert abs(gi_overlap(rho) - dense_overlap) <= 1e-12
+
+
+def test_pair_superoperator_is_cptp():
+    rows, cols, block = _pair_superoperator()
+    n = 25
+    sup = np.zeros((n * n, n * n), dtype=complex)
+    sup[np.ix_(rows, cols)] = block
+    # trace preserving: sum_a S[(a,a),(c,d)] = delta_cd
+    traced = sup.reshape(n, n, n * n)[np.arange(n), np.arange(n)].sum(axis=0)
+    assert np.max(np.abs(traced - np.eye(n).ravel())) < 1e-14
+    # completely positive: the Choi matrix sum k|c><d|k^dag (x) |c><d| is PSD
+    choi = sup.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    assert np.max(np.abs(choi - choi.conj().T)) < 1e-14
+    assert np.linalg.eigvalsh(choi).min() > -1e-12
+
+
 def test_cooling_sweep_preserves_physical_subspace_states():
     rng = np.random.default_rng(23)
     b = physical_subspace_basis()
@@ -285,6 +319,9 @@ def test_iterative_cooling_validation():
         iterative_cooling(rho, tol=0.0)
     with pytest.raises(ValueError):
         iterative_cooling(rho, tol=1e-5, max_sweeps=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            iterative_cooling(rho, tol=bad)
 
 
 def test_report_deficit_properties():

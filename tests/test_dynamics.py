@@ -83,6 +83,11 @@ def test_trotter_config_validation():
         TrotterConfig(n_steps=0)
     with pytest.raises(ValueError):
         TrotterConfig(total_time=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TrotterConfig(g2=bad)
+        with pytest.raises(ValueError):
+            TrotterConfig(total_time=bad)
 
 
 def test_trotter_unitary_is_unitary_and_factor_ordered():
@@ -245,6 +250,20 @@ def test_apply_edge_kraus_matches_dense_embedding():
         big = np.kron(np.eye(5), np.kron(k, np.eye(25)))
         slow += big @ rho @ big.conj().T
     np.testing.assert_allclose(fast, slow, atol=1e-13)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([1, 8, TOTAL_DIM]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_closed_form_damping_matches_kraus_sum(gamma, edge, rank, seed):
+    rho = random_density(np.random.default_rng(seed), rank=rank)
+    fast = amplitude_damping_channel(rho, edge, gamma)
+    slow = apply_edge_kraus(rho, list(_damping_kraus(gamma)), edge)
+    assert np.max(np.abs(fast - slow)) <= 1e-12
 
 
 def test_noise_spec_validation():

@@ -12,6 +12,8 @@ from gaugecool.lattice import (
     gauge_action,
     gauge_casimir,
     gauge_generator,
+    pair_cg_basis,
+    pair_edges,
     physical_subspace_basis,
     physical_subspace_dimension,
     product_index,
@@ -170,6 +172,23 @@ def test_cg_basis_raising_chains():
             up = by_key[(e.twice_J, e.twice_M + 2, e.alpha)]
             lhs = gp @ cg.basis[:, e.column] / np.sqrt(j * (j + 1) - m * (m + 1))
             assert np.max(np.abs(lhs - cg.basis[:, up])) < 1e-10
+
+
+def test_cg_basis_is_pair_basis_times_spectator_states():
+    pair = pair_cg_basis()
+    assert pair.mu == {0: 5, 1: 4, 2: 4}
+    assert np.max(np.abs(pair.basis.conj().T @ pair.basis - np.eye(25))) < 1e-12
+    pair_column = {(e.twice_J, e.twice_M, e.alpha): e.column for e in pair.entries}
+    for v in range(4):
+        cg = build_cg_basis(v)
+        # rows reordered to (out edge, in edge, spectator edges)
+        lifted = cg.basis.reshape((5,) * 4 + (TOTAL_DIM,)).transpose(*pair_edges(v), 4)
+        lifted = lifted.reshape(25, 25, TOTAL_DIM)
+        for e in cg.entries:
+            spectators = np.zeros(25)
+            spectators[5 * e.alpha[3] + e.alpha[4]] = 1.0
+            vec = pair.basis[:, pair_column[e.twice_J, e.twice_M, e.alpha[:3]]]
+            assert np.array_equal(lifted[:, :, e.column], np.outer(vec, spectators))
 
 
 def test_cg_basis_singlets_first():
