@@ -19,8 +19,9 @@ LF line endings, no timestamps.  Exit codes: 0 success, 1 check failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,12 @@ class RunConfig:
     tol: float = 1e-5
     max_sweeps: int = 10
     out: str | None = None
+
+    def __post_init__(self):
+        if not math.isfinite(self.tol) or self.tol <= 0:
+            raise ValueError("tol must be a finite positive number")
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be at least 1")
 
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(_NOISE_FLAGS[self.noise], self.rate)
@@ -335,20 +342,21 @@ def cmd_check(suite: str, seed: int, design_file: str | None) -> int:
 
 
 def _add_run_flags(p: argparse.ArgumentParser, evolve: bool) -> None:
-    p.add_argument("--noise", choices=sorted(_NOISE_FLAGS), default="depolarizing")
-    p.add_argument("--rate", type=float, default=0.005, help="per-edge per-step noise rate")
-    p.add_argument("--g2", type=float, default=1.0, help="gauge coupling squared")
+    d = RunConfig()  # the defaults
+    p.add_argument("--noise", choices=sorted(_NOISE_FLAGS), default=d.noise)
+    p.add_argument("--rate", type=float, default=d.rate, help="per-edge per-step noise rate")
+    p.add_argument("--g2", type=float, default=d.g2, help="gauge coupling squared")
     if evolve:
-        p.add_argument("--time", type=float, default=3.0, dest="total_time",
+        p.add_argument("--time", type=float, default=d.total_time, dest="total_time",
                        help="total evolution time")
-        p.add_argument("--steps", type=int, default=30, dest="n_steps",
+        p.add_argument("--steps", type=int, default=d.n_steps, dest="n_steps",
                        help="number of Trotter steps")
-        p.add_argument("--cool", choices=("on", "off"), default="off",
+        p.add_argument("--cool", choices=("on", "off"), default="on" if d.cool else "off",
                        help="run cooling sweeps after the noise on every step")
-    p.add_argument("--tol", type=float, default=1e-5,
+    p.add_argument("--tol", type=float, default=d.tol,
                    help="stop cooling once the overlap deficit is below this")
-    p.add_argument("--max-sweeps", type=int, default=10)
-    p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
+    p.add_argument("--max-sweeps", type=int, default=d.max_sweeps)
+    p.add_argument("--out", default=d.out, help="CSV output path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,17 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        noise=args.noise,
-        rate=args.rate,
-        g2=args.g2,
-        total_time=getattr(args, "total_time", 3.0),
-        n_steps=getattr(args, "n_steps", 30),
-        cool=getattr(args, "cool", "off") == "on",
-        tol=args.tol,
-        max_sweeps=args.max_sweeps,
-        out=args.out,
-    )
+    """The RunConfig of the flags given; flags a subcommand lacks keep their defaults."""
+    given = vars(args)
+    flags = {f.name: given[f.name] for f in fields(RunConfig) if f.name in given}
+    if "cool" in flags:
+        flags["cool"] = flags["cool"] == "on"
+    return RunConfig(**flags)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -25,12 +25,13 @@ multiplicity and the channel is trace preserving.
 
 Every operator here acts only on the vertex's two edges: K_{J,N} is a
 25x25 pair operator k_{J,N} times the identity on the two spectator edges,
-and the same k serve every vertex.  ``cool_vertex`` permutes rho to
-(pair ket, pair bra) x (spectator ket, spectator bra) and applies the pair
-superoperator sum_{J,N} k (x) conj(k) to the rows; the overlap and the
-syndrome weights are traces of 25x25 pair projectors against the reduced
-pair state.  The dense 625-dim Kraus operators (``recovery_kraus``) remain
-as the reference those kernels are tested against.
+and the same k serve every vertex.  ``cool_vertex`` reads rho through
+``lattice.local_view`` as (pair ket, pair bra) x (spectator ket, spectator
+bra) and applies the pair superoperator sum_{J,N} k (x) conj(k) to the rows;
+``gi_overlap`` and ``syndrome_probabilities`` read the same per-vertex sector
+weights, traces of 25x25 pair projectors against the reduced pair state.
+The dense 625-dim Kraus operators (``recovery_kraus``) remain as the
+reference those kernels are tested against.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import EDGE_DIM, N_EDGES, TOTAL_DIM, build_cg_basis, pair_cg_basis, pair_edges
+from .lattice import EDGE_DIM, N_EDGES, build_cg_basis, local_view, pair_cg_basis, vertex_edges
 from .su2 import _twice
 
 __all__ = [
@@ -123,11 +124,7 @@ def syndrome_operator(v: int, j, m, n) -> np.ndarray:
 def syndrome_probabilities(rho: np.ndarray, v: int) -> dict[Syndrome, float]:
     """p(J,M,N) = tr(P_N^J rho)/(2J+1) for every outcome at vertex v."""
     _vertex_check(v)
-    rho_pair = _reduced_pair_state(rho, v)
-    weights = {
-        key: float(np.real(np.einsum("ij,ji->", p, rho_pair)))
-        for key, p in _pair_projectors().items()
-    }
+    weights = _sector_weights(rho, v)
     probs: dict[Syndrome, float] = {}
     for tj, tn in weights:
         for tm in range(-tj, tj + 1, 2):
@@ -220,22 +217,14 @@ def _pair_projectors() -> dict[tuple[int, int], np.ndarray]:
     return projectors
 
 
-@lru_cache(maxsize=None)
-def _pair_axes(v: int) -> tuple[int, ...]:
-    """Axes of the 8-index rho: (pair ket, pair bra, spectator ket, spectator bra)."""
-    edges = pair_edges(v)
-    bra = [N_EDGES + e for e in edges]
-    return (*edges[:2], *bra[:2], *edges[2:], *bra[2:])
-
-
-def _pair_view(rho: np.ndarray, v: int) -> np.ndarray:
-    return rho.reshape((EDGE_DIM,) * (2 * N_EDGES)).transpose(_pair_axes(v))
-
-
-def _reduced_pair_state(rho: np.ndarray, v: int) -> np.ndarray:
-    """The two edges of vertex v with the spectators traced out, as 25x25."""
-    pair = np.einsum("abcdefef->abcd", _pair_view(rho, v))
-    return pair.reshape(EDGE_DIM**2, EDGE_DIM**2)
+def _sector_weights(rho: np.ndarray, v: int) -> dict[tuple[int, int], float]:
+    """tr(P_N^J rho) at vertex v for every (2J, 2N), from the reduced pair state."""
+    pair = np.einsum("abcdefef->abcd", local_view(rho, vertex_edges(v)))
+    pair = pair.reshape(EDGE_DIM**2, EDGE_DIM**2)
+    return {
+        key: float(np.real(np.einsum("ij,ji->", p, pair)))
+        for key, p in _pair_projectors().items()
+    }
 
 
 @dataclass(frozen=True)
@@ -270,13 +259,13 @@ def cool_vertex(rho: np.ndarray, v: int) -> np.ndarray:
     """Apply the recovery channel at vertex v: rho -> sum_K K rho K^dagger."""
     _vertex_check(v)
     rows, cols, block = _pair_superoperator()
+    edges = vertex_edges(v)
     pair_shape = (EDGE_DIM,) * 4  # (out ket, in ket, out bra, in bra)
-    source = _pair_view(rho, v)[np.unravel_index(cols, pair_shape)]
-    out = np.zeros((EDGE_DIM,) * (2 * N_EDGES), dtype=complex)
-    out.transpose(_pair_axes(v))[np.unravel_index(rows, pair_shape)] = np.tensordot(
-        block, source, axes=1
-    )
-    return out.reshape(TOTAL_DIM, TOTAL_DIM)
+    source = local_view(rho, edges)[np.unravel_index(cols, pair_shape)]
+    out = np.zeros(rho.shape, dtype=complex)
+    target = local_view(out, edges)
+    target[np.unravel_index(rows, pair_shape)] = np.tensordot(block, source, axes=1)
+    return out
 
 
 def cooling_sweep(rho: np.ndarray) -> np.ndarray:
@@ -288,11 +277,7 @@ def cooling_sweep(rho: np.ndarray) -> np.ndarray:
 
 def gi_overlap(rho: np.ndarray) -> float:
     """(1/4) sum_v tr(Pi_0^(v) rho): average vertex singlet-sector weight."""
-    p0 = _pair_projectors()[0, 0]
-    total = 0.0
-    for v in range(N_VERTICES):
-        total += float(np.real(np.einsum("ij,ji->", p0, _reduced_pair_state(rho, v))))
-    return total / N_VERTICES
+    return sum(_sector_weights(rho, v)[0, 0] for v in range(N_VERTICES)) / N_VERTICES
 
 
 def iterative_cooling(

@@ -10,8 +10,10 @@ Noise is applied edge-locally at the channel (Kraus) level:
 - depolarizing: rho -> (1-p) rho + (p/5) tr_e(rho) (x) 1_e
 - amplitude damping: K_0 = |0><0| + sqrt(1-gamma) sum_{i>=1} |i><i|,
   K_i = sqrt(gamma) |0><i|, driving the edge toward its |0,0,0> ground state.
-  Its channel has the closed form K_0 rho K_0 + gamma sum_{i>=1} <i|rho|i>_e
-  (x) |0><0|_e, applied as broadcasts on the 8-index view of rho.
+
+Both have one closed form, ``_edge_channel`` on ``lattice.local_view``: scale
+the edge's (ket, bra) entries, then add a pooled edge population onto the
+edge's diagonal.  ``apply_edge_kraus`` is the Kraus-sum reference.
 
 Density matrices are plain 625x625 complex arrays; every channel here is
 trace preserving and completely positive.
@@ -26,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hamiltonian import electric_hamiltonian, magnetic_hamiltonian
-from .lattice import EDGE_DIM, N_EDGES, TOTAL_DIM
+from .lattice import EDGE_DIM, N_EDGES, TOTAL_DIM, local_view
 
 __all__ = [
     "TrotterConfig",
@@ -98,7 +100,7 @@ def _magnetic_eigh():
     return evals, evecs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # 6.25 MB an entry; a run uses one (g2, dt)
 def trotter_unitary(g2: float, dt: float) -> np.ndarray:
     """U = exp(-i H_E dt) exp(-i H_B dt) at coupling g2."""
     he_diag = np.diag(electric_hamiltonian(g2)).real
@@ -120,9 +122,6 @@ def trotter_step_state(psi: np.ndarray, cfg: TrotterConfig) -> np.ndarray:
     return trotter_unitary(cfg.g2, cfg.dt) @ psi
 
 
-_LETTERS = "abcdefgh"
-
-
 def apply_edge_kraus(rho: np.ndarray, kraus: list[np.ndarray], edge: int) -> np.ndarray:
     """sum_K (K on edge) rho (K on edge)^dagger without forming 625x625 Kraus."""
     if not 0 <= edge < N_EDGES:
@@ -136,32 +135,43 @@ def apply_edge_kraus(rho: np.ndarray, kraus: list[np.ndarray], edge: int) -> np.
     return out
 
 
-@lru_cache(maxsize=None)
-def _depol_scripts(edge: int) -> tuple[str, str]:
-    ket = _LETTERS[:4]
-    bra = _LETTERS[4:]
-    traced = ket.replace(ket[edge], "") + bra.replace(bra[edge], "")
-    contract = f"{ket[:edge] + 'x' + ket[edge+1:] + bra[:edge] + 'x' + bra[edge+1:]}->{traced}"
-    expand = f"{traced},xy->{ket[:edge] + 'x' + ket[edge+1:] + bra[:edge] + 'y' + bra[edge+1:]}"
-    return contract, expand
+def _edge_channel(rho: np.ndarray, edge: int, rate: float, form) -> np.ndarray:
+    """scale * rho on the edge, plus weight * sum_{j in pool} <j|rho|j>_e on each |i><i|_e.
+
+    ``form(rate)`` gives (scale, pool, targets, weight); i runs over targets."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("noise rate must lie in [0, 1]")
+    if not 0 <= edge < N_EDGES:
+        raise ValueError("edge index out of range")
+    if rate == 0.0:
+        return rho.copy()
+    scale, pool, targets, weight = form(rate)
+    out = np.empty((TOTAL_DIM, TOTAL_DIM), dtype=np.result_type(rho, scale))
+    r8, o8 = local_view(rho, (edge,)), local_view(out, (edge,))
+    np.multiply(r8, scale.reshape(scale.shape + (1,) * (2 * N_EDGES - 2)), out=o8)
+    fed = weight * sum(r8[j, j] for j in pool)
+    for i in targets:
+        o8[i, i] += fed
+    return out
+
+
+def _depolarizing_form(p: float):
+    """Keep 1-p of every entry; feed p/5 of the edge's population to each state."""
+    every = range(EDGE_DIM)
+    return np.full((EDGE_DIM, EDGE_DIM), 1.0 - p), every, every, p / EDGE_DIM
+
+
+def _damping_form(gamma: float):
+    """Scale by keep (x) keep, keep = diag(K_0); feed gamma of the excited population to |0>."""
+    keep = np.array([1.0] + [np.sqrt(1.0 - gamma)] * (EDGE_DIM - 1))
+    return np.outer(keep, keep), range(1, EDGE_DIM), (0,), gamma
 
 
 def depolarizing_channel(rho: np.ndarray, edge: int, p: float) -> np.ndarray:
     """(1-p) rho + (p/5) tr_e(rho) (x) 1_e on the given edge."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("depolarizing probability must lie in [0, 1]")
-    if not 0 <= edge < N_EDGES:
-        raise ValueError("edge index out of range")
-    if p == 0.0:
-        return rho.copy()
-    r8 = rho.reshape((EDGE_DIM,) * (2 * N_EDGES))
-    contract, expand = _depol_scripts(edge)
-    marginal = np.einsum(contract, r8)
-    mixed = np.einsum(expand, marginal, np.eye(EDGE_DIM) / EDGE_DIM)
-    return (1.0 - p) * rho + p * mixed.reshape(TOTAL_DIM, TOTAL_DIM)
+    return _edge_channel(rho, edge, p, _depolarizing_form)
 
 
-@lru_cache(maxsize=None)
 def _damping_kraus(gamma: float) -> tuple[np.ndarray, ...]:
     k0 = np.diag([1.0] + [np.sqrt(1.0 - gamma)] * (EDGE_DIM - 1)).astype(complex)
     ks = [k0]
@@ -174,26 +184,7 @@ def _damping_kraus(gamma: float) -> tuple[np.ndarray, ...]:
 
 def amplitude_damping_channel(rho: np.ndarray, edge: int, gamma: float) -> np.ndarray:
     """Amplitude damping of one edge toward |0,0,0> with rate gamma."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("damping rate must lie in [0, 1]")
-    if not 0 <= edge < N_EDGES:
-        raise ValueError("edge index out of range")
-    if gamma == 0.0:
-        return rho.copy()
-    keep = np.diag(_damping_kraus(gamma)[0]).real
-    shape = [1] * (2 * N_EDGES)
-    shape[edge] = shape[N_EDGES + edge] = EDGE_DIM
-
-    def diagonal_block(i: int) -> tuple:
-        """Index of the block where the edge sits in |i><i|."""
-        index = [slice(None)] * (2 * N_EDGES)
-        index[edge] = index[N_EDGES + edge] = i
-        return tuple(index)
-
-    r8 = rho.reshape((EDGE_DIM,) * (2 * N_EDGES))
-    out = r8 * np.outer(keep, keep).reshape(shape)
-    out[diagonal_block(0)] += gamma * sum(r8[diagonal_block(i)] for i in range(1, EDGE_DIM))
-    return out.reshape(TOTAL_DIM, TOTAL_DIM)
+    return _edge_channel(rho, edge, gamma, _damping_form)
 
 
 def apply_noise_all_edges(rho: np.ndarray, spec: NoiseSpec) -> np.ndarray:

@@ -21,6 +21,7 @@ providing an independent cross-check of the contraction.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -46,8 +47,8 @@ def electric_edge_term(g2: float = 1.0) -> np.ndarray:
 
 def electric_hamiltonian(g2: float = 1.0) -> np.ndarray:
     """Sum of the per-edge electric terms, embedded over all four edges."""
-    if g2 <= 0:
-        raise ValueError("g2 must be positive")
+    if not math.isfinite(g2) or g2 <= 0:
+        raise ValueError("g2 must be a finite positive number")
     term = electric_edge_term(g2)
     return sum(embed_edge_operator(term, e) for e in range(N_EDGES))
 
@@ -114,8 +115,8 @@ def magnetic_plaquette_matrix() -> np.ndarray:
 
 def magnetic_hamiltonian(g2: float = 1.0) -> np.ndarray:
     """H_B = -(P + P^dagger) / (2 g^2), Hermitian and real in this basis."""
-    if g2 <= 0:
-        raise ValueError("g2 must be positive")
+    if not math.isfinite(g2) or g2 <= 0:
+        raise ValueError("g2 must be a finite positive number")
     p = magnetic_plaquette_matrix()
     return -(p + p.conj().T) / (2.0 * g2)
 

@@ -22,6 +22,7 @@ the incoming edge, giving gauge generators
 and the unitary gauge action U(g) = conj(pi_j(g)) on m(e_out) times
 pi_j(g) on n(e_in).  Operators are dense numpy at 625 dimensions; the
 vertex bases are built on a vertex's two edges (25 dimensions) and lifted.
+``local_view`` owns the density-matrix layout (kets e0..e3, then bras).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "edge_state_index",
     "product_index",
     "vacuum_state",
+    "local_view",
     "embed_edge_operator",
     "gauge_generator",
     "gauge_casimir",
@@ -115,6 +117,15 @@ def vacuum_state() -> np.ndarray:
     psi = np.zeros(TOTAL_DIM, dtype=complex)
     psi[0] = 1.0
     return psi
+
+
+def local_view(rho: np.ndarray, edges: tuple[int, ...]) -> np.ndarray:
+    """rho as (local kets, local bras, other kets, other bras), the others ascending.
+
+    For a C-contiguous rho this is a view, so writing into it writes rho."""
+    rest = tuple(e for e in range(N_EDGES) if e not in edges)
+    axes = (*edges, *(N_EDGES + e for e in edges), *rest, *(N_EDGES + e for e in rest))
+    return rho.reshape((EDGE_DIM,) * (2 * N_EDGES)).transpose(axes)
 
 
 def embed_edge_operator(op: np.ndarray, edge: int) -> np.ndarray:

@@ -178,6 +178,9 @@ def test_invalid_g2_is_usage_error(capsys):
         ["evolve", "--g2", "nan"],
         ["evolve", "--time", "inf"],
         ["evolve", "--cool", "on", "--tol", "nan"],
+        ["evolve", "--tol", "nan"],
+        ["evolve", "--tol", "-1"],
+        ["evolve", "--max-sweeps", "0"],
     ],
 )
 def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):

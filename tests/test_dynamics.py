@@ -99,6 +99,14 @@ def test_trotter_unitary_is_unitary_and_factor_ordered():
     np.testing.assert_allclose(u, expected, atol=1e-10)
 
 
+def test_trotter_unitary_cache_is_bounded():
+    bound = trotter_unitary.cache_info().maxsize
+    assert bound is not None
+    for k in range(bound + 3):
+        trotter_unitary(1.0, 0.01 * (k + 1))
+    assert trotter_unitary.cache_info().currsize <= bound
+
+
 def test_trotter_unitary_zero_dt_is_identity():
     np.testing.assert_allclose(trotter_unitary(1.0, 0.0), np.eye(TOTAL_DIM), atol=1e-12)
 
@@ -252,17 +260,34 @@ def test_apply_edge_kraus_matches_dense_embedding():
     np.testing.assert_allclose(fast, slow, atol=1e-13)
 
 
+def depolarizing_kraus(p):
+    """sqrt(1-p) 1 and sqrt(p/5) |a><b| for every pair of edge states."""
+    ks = [np.sqrt(1.0 - p) * np.eye(EDGE_DIM, dtype=complex)]
+    for a in range(EDGE_DIM):
+        for b in range(EDGE_DIM):
+            k = np.zeros((EDGE_DIM, EDGE_DIM), dtype=complex)
+            k[a, b] = np.sqrt(p / EDGE_DIM)
+            ks.append(k)
+    return ks
+
+
 @settings(max_examples=20, deadline=None)
 @given(
+    st.sampled_from(["depolarizing", "amplitude_damping"]),
     st.floats(min_value=0.0, max_value=1.0),
     st.integers(min_value=0, max_value=3),
     st.sampled_from([1, 8, TOTAL_DIM]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_closed_form_damping_matches_kraus_sum(gamma, edge, rank, seed):
+def test_closed_form_damping_matches_kraus_sum(kind, rate, edge, rank, seed):
+    """Both closed-form edge channels against their Kraus sums."""
     rho = random_density(np.random.default_rng(seed), rank=rank)
-    fast = amplitude_damping_channel(rho, edge, gamma)
-    slow = apply_edge_kraus(rho, list(_damping_kraus(gamma)), edge)
+    if kind == "depolarizing":
+        fast = depolarizing_channel(rho, edge, rate)
+        slow = apply_edge_kraus(rho, depolarizing_kraus(rate), edge)
+    else:
+        fast = amplitude_damping_channel(rho, edge, rate)
+        slow = apply_edge_kraus(rho, list(_damping_kraus(rate)), edge)
     assert np.max(np.abs(fast - slow)) <= 1e-12
 
 

@@ -75,8 +75,10 @@ def test_magnetic_scaling():
     hb1 = magnetic_hamiltonian(1.0)
     hb4 = magnetic_hamiltonian(4.0)
     assert np.max(np.abs(hb4 - hb1 / 4.0)) < 1e-14
-    with pytest.raises(ValueError):
-        magnetic_hamiltonian(0.0)
+    for g2 in (0.0, float("nan"), float("inf")):
+        for build in (magnetic_hamiltonian, electric_hamiltonian):
+            with pytest.raises(ValueError):
+                build(g2)
 
 
 def test_plaquette_flips_every_edge_spin():

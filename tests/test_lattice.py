@@ -12,6 +12,7 @@ from gaugecool.lattice import (
     gauge_action,
     gauge_casimir,
     gauge_generator,
+    local_view,
     pair_cg_basis,
     pair_edges,
     physical_subspace_basis,
@@ -78,6 +79,26 @@ def test_embed_trace_multiplicative():
         assert np.trace(embed_edge_operator(op, e)) == pytest.approx(
             125 * np.trace(op), abs=1e-9
         )
+
+
+def test_local_view_axes_and_writes():
+    """On rho = A0 (x) A1 (x) A2 (x) A3 each (ket, bra) index pair belongs to one factor."""
+    rng = np.random.default_rng(2)
+    ops = [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) for _ in range(4)]
+    rho = np.kron(np.kron(ops[0], ops[1]), np.kron(ops[2], ops[3]))
+    for edges in ((2,), (0, 3), (3, 0), (1, 2, 0)):
+        k = len(edges)
+        order = [*edges, *(e for e in range(4) if e not in edges)]
+        view = local_view(rho, edges)
+        for idx in rng.integers(0, 5, size=(40, 8)):
+            kets = [*idx[:k], *idx[2 * k : 4 + k]]
+            bras = [*idx[k : 2 * k], *idx[4 + k :]]
+            expected = np.prod([ops[e][a, b] for e, a, b in zip(order, kets, bras)])
+            assert view[tuple(idx)] == pytest.approx(expected, abs=1e-12)
+    out = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
+    local_view(out, (1,))[3, 4, 0, 0, 0, 0, 0, 0] = 1.0
+    assert out[product_index(0, 3, 0, 0), product_index(0, 4, 0, 0)] == 1.0
+    assert np.count_nonzero(out) == 1
 
 
 def test_gauge_generator_algebra():
