@@ -81,6 +81,8 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        if self.noise not in _NOISE_FLAGS:
+            raise ValueError(f"noise must be one of {sorted(_NOISE_FLAGS)}")
         if not math.isfinite(self.tol) or self.tol <= 0:
             raise ValueError("tol must be a finite positive number")
         if self.max_sweeps < 1:

@@ -41,14 +41,14 @@ __all__ = [
 
 def electric_edge_term(g2: float = 1.0) -> np.ndarray:
     """Single-edge electric energy (g^2/2) j(j+1), diagonal 5x5."""
+    if not math.isfinite(g2) or g2 <= 0:
+        raise ValueError("g2 must be a finite positive number")
     jj = np.array([tj / 2 * (tj / 2 + 1) for tj, _, _ in edge_basis(1)])
     return np.diag(g2 / 2 * jj).astype(complex)
 
 
 def electric_hamiltonian(g2: float = 1.0) -> np.ndarray:
     """Sum of the per-edge electric terms, embedded over all four edges."""
-    if not math.isfinite(g2) or g2 <= 0:
-        raise ValueError("g2 must be a finite positive number")
     term = electric_edge_term(g2)
     return sum(embed_edge_operator(term, e) for e in range(N_EDGES))
 

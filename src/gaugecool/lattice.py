@@ -196,23 +196,26 @@ def gauge_action(v: int, g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # The gauge action at a vertex touches only the m index of the outgoing edge
-# and the n index of the incoming edge.  Organizing the 625 product states by
-# the two acted edge spins gives four sectors:
+# and the n index of the incoming edge, so on the vertex's two edges (25 pair
+# states) it leaves four labels alone: both edge spins (the sector), n of the
+# outgoing edge and m of the incoming edge.  Grouping the pair states by them
+# gives nine invariant blocks:
 #
-#   (j_out, j_in) = (0,0):    1x1 acted factor, 25 spectator configs, J=0
-#   (1/2, 0):                 2-dim acted factor (m_out), 50 configs, J=1/2
-#   (0, 1/2):                 2-dim acted factor (n_in),  50 configs, J=1/2
-#   (1/2, 1/2):               4-dim acted factor,        100 configs, J=0+1
+#   (j_out, j_in) = (0,0):    1 block of 1 state,   J=0
+#   (1/2, 0):                 2 blocks of 2 (m_out), J=1/2
+#   (0, 1/2):                 2 blocks of 2 (n_in),  J=1/2
+#   (1/2, 1/2):               4 blocks of 4,         J=0+1
 #
-# for multiplicities mu_0 = 125, mu_{1/2} = 100, mu_1 = 100 (125+200+300=625).
-# Within each sector the basis is found by simultaneously diagonalizing the
-# Casimir and G_z on the small acted factor, fixing the lowest-weight phase
+# and, times the 25 spectator states, multiplicities mu_0 = 125,
+# mu_{1/2} = 100, mu_1 = 100 (125+200+300=625).  Within each block the basis
+# is found by simultaneously diagonalizing the Casimir and G_z of the pair
+# generators restricted to it, fixing the lowest-weight phase
 # (largest-magnitude component real positive, lowest index on ties) and
 # climbing with the normalized raising operator.  Every resulting vector has
 # definite spectator quantum numbers by construction: it is a vector on the
 # vertex's two edges (``pair_cg_basis``) times a product state of the other two.
 
-_SECTORS = ("00", "h0", "0h", "hh")
+_SECTORS = ("00", "h0", "0h", "hh")  # (j_out, j_in) names, in column order within a J
 
 
 def _irrep_chains(gx, gy, gz, tol: float = 1e-8):
@@ -261,24 +264,6 @@ def _irrep_chains(gx, gy, gz, tol: float = 1e-8):
     return chains
 
 
-@lru_cache(maxsize=None)
-def _acted_factor_chains(sector: str):
-    """Irrep chains of the gauge action restricted to a sector's acted factor."""
-    jx, jy, jz = spin_matrices(1)
-    if sector == "00":
-        zero = np.zeros((1, 1), dtype=complex)
-        return _irrep_chains(zero, zero, zero)
-    if sector == "h0":
-        return _irrep_chains(-jx.T, -jy.T, -jz.T)
-    if sector == "0h":
-        return _irrep_chains(jx, jy, jz)
-    if sector == "hh":
-        eye = np.eye(2)
-        g = [np.kron(-a.T, eye) + np.kron(eye, a) for a in (jx, jy, jz)]
-        return _irrep_chains(*g)
-    raise ValueError(f"unknown sector {sector!r}")
-
-
 @dataclass(frozen=True)
 class CGEntry:
     """One vertex basis vector |J, M, alpha>.
@@ -324,34 +309,6 @@ class VertexCGBasis:
         return self.basis[:, cols]
 
 
-def _pair_spectators(sector: str):
-    """Passive labels (n_out, m_in) of a sector, sorted; -1 where the edge is at j=0."""
-    n_out_opts = [-1] if sector in ("00", "0h") else [0, 1]
-    m_in_opts = [-1] if sector in ("00", "h0") else [0, 1]
-    return [(n_out, m_in) for n_out in n_out_opts for m_in in m_in_opts]
-
-
-def _pair_vector(sector: str, spect: tuple, factor_vec: np.ndarray) -> np.ndarray:
-    """Lift an acted-factor vector with fixed passive labels into the pair space."""
-    n_out, m_in = spect
-    vec = np.zeros((EDGE_DIM, EDGE_DIM), dtype=complex)  # (out state, in state)
-    if sector == "00":
-        acted = [((), factor_vec[0])]
-    elif sector == "h0":
-        acted = [((a,), factor_vec[a]) for a in range(2)]
-    elif sector == "0h":
-        acted = [((b,), factor_vec[b]) for b in range(2)]
-    else:
-        acted = [((a, b), factor_vec[a * 2 + b]) for a in range(2) for b in range(2)]
-    for idx_tuple, coeff in acted:
-        if coeff == 0.0:
-            continue
-        i_out = 1 + idx_tuple[0] * 2 + n_out if sector in ("h0", "hh") else 0
-        i_in = 1 + m_in * 2 + idx_tuple[-1] if sector in ("0h", "hh") else 0
-        vec[i_out, i_in] += coeff
-    return vec.reshape(-1)
-
-
 def pair_edges(v: int) -> tuple[int, int, int, int]:
     """(outgoing, incoming, spectator, spectator) edges at v, spectators ascending."""
     e_out, e_in = vertex_edges(v)
@@ -368,21 +325,31 @@ def pair_cg_basis() -> VertexCGBasis:
     has the same pair basis; its 625-dim basis is this one times each product
     state of the two spectator edges.
     """
-    records = []  # (twice_J, sector_rank, (n_out, m_in), chain)
-    for rank, sector in enumerate(_SECTORS):
-        chains = _acted_factor_chains(sector)
-        for spect in _pair_spectators(sector):
-            for tj, chain in chains:
-                records.append((tj, rank, spect, chain))
-    records.sort(key=lambda r: (r[0], r[1], r[2]))
+    eye = np.eye(EDGE_DIM)
+    gens = [
+        np.kron(_edge_m_operator(-a.T, 0.0), eye) + np.kron(eye, _edge_n_operator(a, 0.0))
+        for a in spin_matrices(1)
+    ]
+    blocks: dict[tuple, list[int]] = {}  # alpha -> pair indices, ascending
+    for p in range(EDGE_DIM**2):
+        (tj_out, _, tn_out), (tj_in, tm_in, _) = (_EDGE_BASIS[i] for i in divmod(p, EDGE_DIM))
+        sector = "0h"[tj_out] + "0h"[tj_in]
+        n_out = (tn_out + 1) // 2 if tj_out else -1
+        m_in = (tm_in + 1) // 2 if tj_in else -1
+        blocks.setdefault((sector, n_out, m_in), []).append(p)
+    records = []  # (twice_J, alpha, pair indices, chain)
+    for alpha, idx in blocks.items():
+        block = np.ix_(idx, idx)
+        for tj, chain in _irrep_chains(*(g[block] for g in gens)):
+            records.append((tj, alpha, idx, chain))
+    records.sort(key=lambda r: (r[0], _SECTORS.index(r[1][0]), r[1][1:]))
     entries: list[CGEntry] = []
     basis = np.zeros((EDGE_DIM**2, EDGE_DIM**2), dtype=complex)
-    for tj, rank, spect, chain in records:
-        sector = _SECTORS[rank]
-        for k, factor_vec in enumerate(chain):
+    for tj, alpha, idx, chain in records:
+        for k, vec in enumerate(chain):
             col = len(entries)
-            basis[:, col] = _pair_vector(sector, spect, factor_vec)
-            entries.append(CGEntry(tj, -tj + 2 * k, (sector, *spect), col))
+            basis[idx, col] = vec
+            entries.append(CGEntry(tj, -tj + 2 * k, alpha, col))
     assert len(entries) == EDGE_DIM**2
     basis.setflags(write=False)
     return VertexCGBasis(None, entries, basis)
@@ -434,8 +401,9 @@ def physical_subspace_basis() -> np.ndarray:
     """Orthonormal basis of the subspace annihilated by all four Casimirs."""
     total = sum(gauge_casimir(v) for v in range(4))
     evals, evecs = np.linalg.eigh(total)
-    keep = evals < 1e-8
-    return evecs[:, keep]
+    basis = evecs[:, evals < 1e-8]
+    basis.setflags(write=False)
+    return basis
 
 
 def physical_subspace_dimension() -> int:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gaugecool.cli import build_parser, main
+from gaugecool.cli import RunConfig, build_parser, main
 
 
 def run_csv(tmp_path, name, argv):
@@ -188,6 +188,12 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
     assert main([*argv, "--steps", "2", "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unknown_noise_kind_is_value_error():
+    # argparse restricts --noise; a library caller reaches RunConfig directly
+    with pytest.raises(ValueError, match="noise"):
+        RunConfig(noise="thermal")
 
 
 def test_unconverged_cooling_warns_on_stderr(tmp_path, capsys):

@@ -96,7 +96,13 @@ def test_trotter_unitary_is_unitary_and_factor_ordered():
     expected = herm_expm(electric_hamiltonian(1.0), 0.1) @ herm_expm(
         magnetic_hamiltonian(1.0), 0.1
     )
-    np.testing.assert_allclose(u, expected, atol=1e-10)
+    np.testing.assert_allclose(u, expected, atol=1e-13)
+    # exp(-i H_B dt) is exactly 1 on the states H_B leaves alone
+    still = ~magnetic_hamiltonian(1.0).any(axis=1)
+    assert np.sum(still) == TOTAL_DIM - 161
+    phase = np.exp(-1j * 0.1 * np.diag(electric_hamiltonian(1.0)).real)
+    assert np.array_equal(u[np.ix_(still, still)], np.diag(phase[still]))
+    assert not u[np.ix_(still, ~still)].any() and not u[np.ix_(~still, still)].any()
 
 
 def test_trotter_unitary_cache_is_bounded():

@@ -5,6 +5,7 @@ import pytest
 
 from gaugecool.hamiltonian import (
     edge_tensor,
+    electric_edge_term,
     electric_hamiltonian,
     haar_mc_oracle,
     magnetic_hamiltonian,
@@ -76,7 +77,7 @@ def test_magnetic_scaling():
     hb4 = magnetic_hamiltonian(4.0)
     assert np.max(np.abs(hb4 - hb1 / 4.0)) < 1e-14
     for g2 in (0.0, float("nan"), float("inf")):
-        for build in (magnetic_hamiltonian, electric_hamiltonian):
+        for build in (magnetic_hamiltonian, electric_hamiltonian, electric_edge_term):
             with pytest.raises(ValueError):
                 build(g2)
 

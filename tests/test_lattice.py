@@ -253,6 +253,7 @@ def test_singlet_projector_matches_casimir_nullspace():
 def test_physical_subspace():
     assert physical_subspace_dimension() == 2
     basis = physical_subspace_basis()
+    assert not basis.flags.writeable
     psi = vacuum_state()
     # vacuum lies in the subspace
     proj = basis @ (basis.conj().T @ psi)
