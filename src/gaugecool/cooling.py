@@ -30,8 +30,9 @@ and the same k serve every vertex.  ``cool_vertex`` reads rho through
 bra) and applies the pair superoperator sum_{J,N} k (x) conj(k) to the rows;
 ``gi_overlap`` and ``syndrome_probabilities`` read the same per-vertex sector
 weights, traces of 25x25 pair projectors against the reduced pair state.
-The dense 625-dim Kraus operators (``recovery_kraus``) remain as the
-reference those kernels are tested against.
+The dense 625-dim references (``recovery_kraus`` and ``syndrome_operator``)
+are these pair operators lifted by ``lattice.lift_pair``; the kernels are
+tested against them.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import EDGE_DIM, N_EDGES, build_cg_basis, local_view, pair_cg_basis, vertex_edges
+from .lattice import EDGE_DIM, N_VERTICES, lift_pair, local_view, pair_cg_basis, vertex_edges
 from .su2 import _twice
 
 __all__ = [
@@ -58,8 +59,6 @@ __all__ = [
     "gi_overlap",
     "iterative_cooling",
 ]
-
-N_VERTICES = N_EDGES
 
 
 @dataclass(frozen=True, order=True)
@@ -100,17 +99,11 @@ class CoolingReport:
         return [1.0 - x for x in self.overlaps]
 
 
-def _vertex_check(v: int):
-    if not 0 <= v < N_VERTICES:
-        raise ValueError("vertex index out of range")
-
-
 def syndrome_operator(v: int, j, m, n) -> np.ndarray:
     """T^(J)_{MN}: maps the (J,N) component to (J,M) with weight 1/sqrt(2J+1)."""
-    _vertex_check(v)
     syn = Syndrome.of(j, m, n)
     tj = _twice(syn.j, "j")
-    basis = build_cg_basis(v)
+    basis = pair_cg_basis()
     if tj not in basis.mu:
         raise ValueError(f"no J={syn.j} component at this vertex")
     cols_m, alphas_m = basis.columns(tj, _twice(syn.m, "m"))
@@ -118,12 +111,11 @@ def syndrome_operator(v: int, j, m, n) -> np.ndarray:
     assert alphas_m == alphas_n
     bm = basis.basis[:, cols_m]
     bn = basis.basis[:, cols_n]
-    return (bm @ bn.T) / np.sqrt(tj + 1.0)
+    return lift_pair((bm @ bn.T) / np.sqrt(tj + 1.0), v)
 
 
 def syndrome_probabilities(rho: np.ndarray, v: int) -> dict[Syndrome, float]:
     """p(J,M,N) = tr(P_N^J rho)/(2J+1) for every outcome at vertex v."""
-    _vertex_check(v)
     weights = _sector_weights(rho, v)
     probs: dict[Syndrome, float] = {}
     for tj, tn in weights:
@@ -158,30 +150,23 @@ def _paired_singlet_alpha(alpha: tuple) -> tuple:
     raise ValueError(f"unknown sector {sector!r}")
 
 
-def _recovery_factors(basis) -> tuple[tuple[Fraction, Fraction, np.ndarray, np.ndarray], ...]:
-    """Per (J,N): the source columns B of ``basis`` and their paired singlet columns S."""
-    singlet_index = {
-        e.alpha: e.column for e in basis.entries if e.twice_J == 0
-    }
-    factors = []
+@lru_cache(maxsize=1)
+def _pair_kraus() -> tuple[tuple[tuple[Fraction, Fraction], np.ndarray], ...]:
+    """((J, N), k_{J,N}) for every (J,N), J then N ascending: the 25x25 pair
+    Kraus operators k_{J,N} = sum_alpha |0,0,sigma(alpha)><J,N,alpha|."""
+    basis = pair_cg_basis()
+    singlet_index = {e.alpha: e.column for e in basis.entries if e.twice_J == 0}
+    kraus = []
     for tj in sorted(basis.mu):
         for tn in range(-tj, tj + 1, 2):
             cols, alphas = basis.columns(tj, tn)
             target_cols = [singlet_index[_paired_singlet_alpha(a)] for a in alphas]
             if len(set(target_cols)) != len(target_cols):
                 raise AssertionError("spectator pairing is not injective")
-            b = basis.basis[:, cols].copy()
-            s = basis.basis[:, target_cols].copy()
-            b.setflags(write=False)
-            s.setflags(write=False)
-            factors.append((Fraction(tj, 2), Fraction(tn, 2), b, s))
-    return tuple(factors)
-
-
-@lru_cache(maxsize=None)
-def _cooler_factors(v: int) -> tuple[tuple[Fraction, Fraction, np.ndarray, np.ndarray], ...]:
-    """The dense 625-dim factors at vertex v, from which ``recovery_kraus`` is built."""
-    return _recovery_factors(build_cg_basis(v))
+            k = basis.basis[:, target_cols] @ basis.basis[:, cols].T
+            k.setflags(write=False)
+            kraus.append(((Fraction(tj, 2), Fraction(tn, 2)), k))
+    return tuple(kraus)
 
 
 @lru_cache(maxsize=1)
@@ -191,8 +176,7 @@ def _pair_superoperator() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     It acts on the 625 (pair ket, pair bra) index pairs; only the 81 rows
     and 113 columns holding its 387 nonzeros are kept, as one dense block.
     """
-    kraus = [s @ b.T for _, _, b, s in _recovery_factors(pair_cg_basis())]
-    sup = sum(np.kron(k, k.conj()) for k in kraus)
+    sup = sum(np.kron(k, k.conj()) for _, k in _pair_kraus())
     nonzero = sup != 0
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
@@ -244,20 +228,15 @@ class KrausChannel:
 
 def recovery_kraus(v: int) -> KrausChannel:
     """Dense Kraus operators K_{J,N} = sum_alpha |0,0,sigma(alpha)><J,N,alpha|."""
-    _vertex_check(v)
-    labels = []
-    ops = []
-    for j, n, b, s in _cooler_factors(v):
-        labels.append((j, n))
-        k = s @ b.T
-        k.setflags(write=False)
-        ops.append(k)
-    return KrausChannel(vertex=v, labels=tuple(labels), operators=tuple(ops))
+    kraus = _pair_kraus()
+    ops = tuple(lift_pair(k, v) for _, k in kraus)
+    for op in ops:
+        op.setflags(write=False)
+    return KrausChannel(vertex=v, labels=tuple(label for label, _ in kraus), operators=ops)
 
 
 def cool_vertex(rho: np.ndarray, v: int) -> np.ndarray:
     """Apply the recovery channel at vertex v: rho -> sum_K K rho K^dagger."""
-    _vertex_check(v)
     rows, cols, block = _pair_superoperator()
     edges = vertex_edges(v)
     pair_shape = (EDGE_DIM,) * 4  # (out ket, in ket, out bra, in bra)

@@ -20,8 +20,8 @@ the incoming edge, giving gauge generators
     G_a = L_a + R_a,   L_a = -J_a^T on m(e_out),   R_a = J_a on n(e_in),
 
 and the unitary gauge action U(g) = conj(pi_j(g)) on m(e_out) times
-pi_j(g) on n(e_in).  Operators are dense numpy at 625 dimensions; the
-vertex bases are built on a vertex's two edges (25 dimensions) and lifted.
+pi_j(g) on n(e_in).  Vertex operators are written once on a vertex's two
+edges (25 dimensions) and ``lift_pair`` makes them dense 625-dim operators.
 ``local_view`` owns the density-matrix layout (kets e0..e3, then bras).
 """
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import groupby
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .su2 import spin_matrices, wigner_d
 
 __all__ = [
     "N_EDGES",
+    "N_VERTICES",
     "EDGE_DIM",
     "TOTAL_DIM",
     "EDGE_ENDPOINTS",
@@ -48,6 +50,7 @@ __all__ = [
     "vacuum_state",
     "local_view",
     "embed_edge_operator",
+    "lift_pair",
     "gauge_generator",
     "gauge_casimir",
     "gauge_action",
@@ -62,6 +65,7 @@ __all__ = [
 ]
 
 N_EDGES = 4
+N_VERTICES = 4
 EDGE_DIM = 5
 TOTAL_DIM = EDGE_DIM**N_EDGES
 
@@ -73,6 +77,8 @@ _AXES = {"x": 0, "y": 1, "z": 2}
 
 def vertex_edges(v: int) -> tuple[int, int]:
     """(outgoing edge, incoming edge) at vertex v."""
+    if v not in range(N_VERTICES):
+        raise ValueError("vertex index out of range")
     out = next(e for e, (a, _) in enumerate(EDGE_ENDPOINTS) if a == v)
     inc = next(e for e, (_, b) in enumerate(EDGE_ENDPOINTS) if b == v)
     return out, inc
@@ -156,16 +162,42 @@ def _edge_n_operator(b: np.ndarray, j0_value: float) -> np.ndarray:
     return out
 
 
+def pair_edges(v: int) -> tuple[int, int, int, int]:
+    """(outgoing, incoming, spectator, spectator) edges at v, spectators ascending."""
+    e_out, e_in = vertex_edges(v)
+    rest = sorted(set(range(N_EDGES)) - {e_out, e_in})
+    return (e_out, e_in, *rest)
+
+
+def lift_pair(op: np.ndarray, v: int) -> np.ndarray:
+    """The 625x625 operator that is the 25x25 ``op`` on the pair index
+    5 * i_out + i_in of v's (outgoing, incoming) edges, identity on the rest."""
+    op = np.asarray(op)
+    if op.shape != (EDGE_DIM**2, EDGE_DIM**2):
+        raise ValueError(f"pair operator must be {EDGE_DIM**2}x{EDGE_DIM**2}")
+    order = np.argsort(pair_edges(v))
+    full = np.kron(op, np.eye(EDGE_DIM**2)).reshape((EDGE_DIM,) * (2 * N_EDGES))
+    return full.transpose(*order, *(N_EDGES + order)).reshape(TOTAL_DIM, TOTAL_DIM)
+
+
+@lru_cache(maxsize=1)
+def _pair_generators() -> np.ndarray:
+    """G_x, G_y, G_z on a vertex's edge pair: -J_a^T on m(e_out) plus J_a on n(e_in)."""
+    eye = np.eye(EDGE_DIM)
+    gens = np.stack([
+        np.kron(_edge_m_operator(-a.T, 0.0), eye) + np.kron(eye, _edge_n_operator(a, 0.0))
+        for a in spin_matrices(1)
+    ])
+    gens.setflags(write=False)
+    return gens
+
+
 @lru_cache(maxsize=None)
 def gauge_generator(v: int, axis: str) -> np.ndarray:
     """Hermitian gauge generator G_a at vertex v, axis in {'x','y','z'}."""
     if axis not in _AXES:
         raise ValueError("axis must be 'x', 'y' or 'z'")
-    j_half = spin_matrices(1)[_AXES[axis]]
-    e_out, e_in = vertex_edges(v)
-    left = embed_edge_operator(_edge_m_operator(-j_half.T, 0.0), e_out)
-    right = embed_edge_operator(_edge_n_operator(j_half, 0.0), e_in)
-    g = left + right
+    g = lift_pair(_pair_generators()[_AXES[axis]], v)
     g.setflags(write=False)
     return g
 
@@ -182,13 +214,8 @@ def gauge_casimir(v: int) -> np.ndarray:
 
 def gauge_action(v: int, g: np.ndarray) -> np.ndarray:
     """Unitary U(g) of the gauge transformation g applied at vertex v."""
-    g = np.asarray(g, dtype=complex)
-    e_out, e_in = vertex_edges(v)
-    eye = np.eye(EDGE_DIM)
-    mats = [eye] * N_EDGES
-    mats[e_out] = _edge_m_operator(np.conj(wigner_d(1, g)), 1.0)
-    mats[e_in] = _edge_n_operator(wigner_d(1, g), 1.0)
-    return reduce(np.kron, mats)
+    d = wigner_d(1, np.asarray(g, dtype=complex))
+    return lift_pair(np.kron(_edge_m_operator(np.conj(d), 1.0), _edge_n_operator(d, 1.0)), v)
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +309,18 @@ class CGEntry:
 
 class VertexCGBasis:
     """Orthonormal basis {|J, M, alpha>} of the 625-dim space at one vertex,
-    or of the 25-dim edge pair of a vertex (``vertex`` is None)."""
+    or of the 25-dim edge pair of a vertex (``vertex`` is None).  It is
+    shared between callers, so ``entries``, ``mu`` and ``basis`` are read-only."""
 
     def __init__(self, vertex: int | None, entries: list[CGEntry], basis: np.ndarray):
         self.vertex = vertex
-        self.entries = entries
+        self.entries = tuple(entries)
         self.basis = basis  # column k is entries[k]'s vector
         mu: dict[int, int] = {}
         for e in entries:
             if e.twice_M == -e.twice_J:
                 mu[e.twice_J] = mu.get(e.twice_J, 0) + 1
-        self.mu = mu
+        self.mu = MappingProxyType(mu)
 
     def columns(self, twice_J: int, twice_M: int):
         """(column indices, alphas) of sector (J, M), in fixed alpha order."""
@@ -304,16 +332,9 @@ class VertexCGBasis:
         return [c for c, _ in pairs], [a for _, a in pairs]
 
     def singlet_matrix(self) -> np.ndarray:
-        """625 x mu_0 matrix of the J=0 basis vectors, in alpha order."""
+        """dim x mu_0 matrix of the J=0 basis vectors, in alpha order."""
         cols, _ = self.columns(0, 0)
         return self.basis[:, cols]
-
-
-def pair_edges(v: int) -> tuple[int, int, int, int]:
-    """(outgoing, incoming, spectator, spectator) edges at v, spectators ascending."""
-    e_out, e_in = vertex_edges(v)
-    rest = sorted(set(range(N_EDGES)) - {e_out, e_in})
-    return (e_out, e_in, *rest)
 
 
 @lru_cache(maxsize=None)
@@ -325,11 +346,7 @@ def pair_cg_basis() -> VertexCGBasis:
     has the same pair basis; its 625-dim basis is this one times each product
     state of the two spectator edges.
     """
-    eye = np.eye(EDGE_DIM)
-    gens = [
-        np.kron(_edge_m_operator(-a.T, 0.0), eye) + np.kron(eye, _edge_n_operator(a, 0.0))
-        for a in spin_matrices(1)
-    ]
+    gens = _pair_generators()
     blocks: dict[tuple, list[int]] = {}  # alpha -> pair indices, ascending
     for p in range(EDGE_DIM**2):
         (tj_out, _, tn_out), (tj_in, tm_in, _) = (_EDGE_BASIS[i] for i in divmod(p, EDGE_DIM))
@@ -365,24 +382,18 @@ def build_cg_basis(v: int) -> VertexCGBasis:
     M ascending within each chain.  Each column is a ``pair_cg_basis``
     column on the vertex's two edges times a spectator product state.
     """
-    if not 0 <= v < 4:
-        raise ValueError("vertex index out of range")
     pair = pair_cg_basis()
-    n_spect = EDGE_DIM**2
-    # rows in (out, in, spectator, spectator) edge order until the final transpose
-    lifted = np.zeros((EDGE_DIM**2, n_spect, TOTAL_DIM), dtype=complex)
-    entries: list[CGEntry] = []
-    for _, chain in groupby(pair.entries, key=lambda e: (e.twice_J, e.alpha)):
-        chain = list(chain)
-        for r in range(n_spect):
-            for e in chain:
-                col = len(entries)
-                lifted[:, r, col] = pair.basis[:, e.column]
-                entries.append(CGEntry(e.twice_J, e.twice_M, (*e.alpha, *divmod(r, EDGE_DIM)), col))
-    assert len(entries) == TOTAL_DIM
-    order = (*np.argsort(pair_edges(v)), N_EDGES)
-    basis = lifted.reshape((EDGE_DIM,) * N_EDGES + (TOTAL_DIM,)).transpose(order)
-    basis = basis.reshape(TOTAL_DIM, TOTAL_DIM)
+    # layout[c, r]: the column of lift_pair(pair.basis, v) that is pair column c
+    # times spectator product state r
+    layout = np.arange(TOTAL_DIM).reshape((EDGE_DIM,) * N_EDGES).transpose(pair_edges(v))
+    layout = layout.reshape(EDGE_DIM**2, EDGE_DIM**2)
+    chains = [list(c) for _, c in groupby(pair.entries, key=lambda e: (e.twice_J, e.alpha))]
+    order = [(e, r) for chain in chains for r in range(EDGE_DIM**2) for e in chain]
+    entries = [
+        CGEntry(e.twice_J, e.twice_M, (*e.alpha, *divmod(r, EDGE_DIM)), col)
+        for col, (e, r) in enumerate(order)
+    ]
+    basis = lift_pair(pair.basis, v)[:, [layout[e.column, r] for e, r in order]]
     basis.setflags(write=False)
     return VertexCGBasis(v, entries, basis)
 
@@ -390,8 +401,8 @@ def build_cg_basis(v: int) -> VertexCGBasis:
 @lru_cache(maxsize=None)
 def singlet_projector(v: int) -> np.ndarray:
     """Orthogonal projector onto the J=0 (gauge-invariant) sector at v."""
-    s = build_cg_basis(v).singlet_matrix()
-    p = s @ s.conj().T
+    s = pair_cg_basis().singlet_matrix()
+    p = lift_pair(s @ s.conj().T, v)
     p.setflags(write=False)
     return p
 

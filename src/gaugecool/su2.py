@@ -19,6 +19,7 @@ All functions are pure; cached arrays are returned read-only.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -137,7 +138,7 @@ def _cg_blocks(twice_j1: int, twice_j2: int):
             cols[:, k - 1] = jminus @ cols[:, k] / np.sqrt(J * (J + 1) - M * (M - 1.0))
         cols.setflags(write=False)
         blocks[tJ] = cols
-    return blocks
+    return MappingProxyType(blocks)
 
 
 def cg_isometry(twice_j1: int, twice_j2: int, twice_J: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .cooling import syndrome_operator
-from .lattice import TOTAL_DIM, build_cg_basis, gauge_action
+from .lattice import TOTAL_DIM, gauge_action, pair_cg_basis
 from .su2 import wigner_d
 
 __all__ = [
@@ -46,6 +46,8 @@ def _checked_su2(g, where: str) -> np.ndarray:
     arr = np.array(g, dtype=complex)
     if arr.shape != (2, 2):
         raise ValueError(f"{where} must be a 2x2 matrix")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{where} has non-finite entries")
     if np.max(np.abs(arr @ arr.conj().T - np.eye(2))) > 1e-9:
         raise ValueError(f"{where} is not unitary")
     det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
@@ -292,9 +294,8 @@ def discrete_syndrome_check(d: DesignSet, v: int) -> float:
     that averages exactly at the strength from ``required_design_strength``
     makes every pair agree; weaker sets leave a visible residue.
     """
-    basis = build_cg_basis(v)
     n = d.size
-    tjs = sorted(basis.mu)
+    tjs = sorted(pair_cg_basis().mu)
     reps = {tj: np.stack([wigner_d(tj, g) for g in d.elements]) for tj in tjs}
     acc = {
         (tj, a, b): np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)

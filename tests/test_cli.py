@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +93,32 @@ def test_converge_amplitude_damping_converges_too(tmp_path):
     assert all(b < a for a, b in zip(deficits, deficits[1:]))
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("converge.csv", ["converge"]),
+        (
+            "evolve_cooled.csv",
+            ["evolve", "--rate", "0.01", "--cool", "on", "--steps", "4", "--time", "0.4"],
+        ),
+        (
+            "evolve_damping_cooled.csv",
+            ["evolve", "--noise", "amplitude-damping", "--rate", "0.01", "--cool", "on",
+             "--steps", "3", "--time", "0.3"],
+        ),
+        ("kl_audit.csv", ["kl-audit"]),
+    ],
+)
+def test_csv_matches_golden_file(tmp_path, name, argv):
+    # A change that moves a last digit updates the file and names the digit in CHANGES.md.
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
 def test_csv_byte_identical_across_processes(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -152,6 +179,13 @@ def test_check_corrupt_design_fails_with_bidegree(tmp_path, capsys):
 def test_check_malformed_design_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 0 0\n")
+    assert main(["check", "tdesign", "--design-file", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_check_nan_design_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "nan.txt"
+    bad.write_text("1 0 0 0\nnan nan nan nan\n")
     assert main(["check", "tdesign", "--design-file", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
 

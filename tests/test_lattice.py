@@ -12,6 +12,7 @@ from gaugecool.lattice import (
     gauge_action,
     gauge_casimir,
     gauge_generator,
+    lift_pair,
     local_view,
     pair_cg_basis,
     pair_edges,
@@ -22,7 +23,14 @@ from gaugecool.lattice import (
     vacuum_state,
     vertex_edges,
 )
-from gaugecool.su2 import haar_sample, pauli_matrices
+from gaugecool.cooling import (
+    cool_vertex,
+    recovery_kraus,
+    syndrome_operator,
+    syndrome_probabilities,
+)
+from gaugecool.su2 import _cg_blocks, haar_sample, pauli_matrices
+from gaugecool.tdesign import binary_octahedral_design, discrete_syndrome_check
 
 
 def unitary_from_generator(v, axis, theta):
@@ -99,6 +107,70 @@ def test_local_view_axes_and_writes():
     local_view(out, (1,))[3, 4, 0, 0, 0, 0, 0, 0] = 1.0
     assert out[product_index(0, 3, 0, 0), product_index(0, 4, 0, 0)] == 1.0
     assert np.count_nonzero(out) == 1
+
+
+def test_lift_pair_matches_kron_embedding():
+    """lift_pair(a (x) b) is a on the outgoing edge times b on the incoming edge."""
+    rng = np.random.default_rng(4)
+    for v in range(4):
+        e_out, e_in = vertex_edges(v)
+        for _ in range(3):
+            # entries of modulus below 1, so every product is below 1 too
+            a, b = rng.uniform(-0.5, 0.5, (2, 5, 5)) + 1j * rng.uniform(-0.5, 0.5, (2, 5, 5))
+            expected = embed_edge_operator(a, e_out) @ embed_edge_operator(b, e_in)
+            assert np.max(np.abs(lift_pair(np.kron(a, b), v) - expected)) <= 1e-15
+    with pytest.raises(ValueError):
+        lift_pair(np.eye(5), 0)
+
+
+_VACUUM_RHO = np.outer(vacuum_state(), vacuum_state())
+
+_VERTEX_CALLS = {
+    "vertex_edges": vertex_edges,
+    "pair_edges": pair_edges,
+    "lift_pair": lambda v: lift_pair(np.eye(25), v),
+    "gauge_generator": lambda v: gauge_generator(v, "x"),
+    "gauge_casimir": gauge_casimir,
+    "gauge_action": lambda v: gauge_action(v, np.eye(2)),
+    "build_cg_basis": build_cg_basis,
+    "singlet_projector": singlet_projector,
+    "syndrome_operator": lambda v: syndrome_operator(v, 0, 0, 0),
+    "syndrome_probabilities": lambda v: syndrome_probabilities(_VACUUM_RHO, v),
+    "recovery_kraus": recovery_kraus,
+    "cool_vertex": lambda v: cool_vertex(_VACUUM_RHO, v),
+    "discrete_syndrome_check": lambda v: discrete_syndrome_check(binary_octahedral_design(), v),
+}
+
+
+@pytest.mark.parametrize("v", [4, -1, 1.5])
+@pytest.mark.parametrize("name", sorted(_VERTEX_CALLS))
+def test_vertex_out_of_range_is_value_error(name, v):
+    with pytest.raises(ValueError, match="vertex index out of range"):
+        _VERTEX_CALLS[name](v)
+
+
+@pytest.mark.parametrize(
+    "get, size, mu",
+    [
+        (pair_cg_basis, 25, {0: 5, 1: 4, 2: 4}),
+        (lambda: build_cg_basis(1), TOTAL_DIM, {0: 125, 1: 100, 2: 100}),
+    ],
+)
+def test_cached_bases_are_read_only(get, size, mu):
+    with pytest.raises(AttributeError):
+        get().entries.append(get().entries[0])
+    with pytest.raises(TypeError):
+        get().mu[0] = 1
+    assert len(get().entries) == size and get().mu == mu
+
+
+def test_cached_cg_blocks_are_read_only():
+    blocks = _cg_blocks(1, 1)
+    with pytest.raises(TypeError):
+        blocks[0] = None
+    with pytest.raises(AttributeError):
+        blocks.clear()
+    assert sorted(_cg_blocks(1, 1)) == [0, 2]
 
 
 def test_gauge_generator_algebra():

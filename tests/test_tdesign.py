@@ -255,6 +255,7 @@ def test_read_design_rejects_malformed_files(tmp_path):
         "words.txt": "one two three four\n",
         "norm.txt": "1 1 0 0\n",
         "empty.txt": "# only a comment\n",
+        "nan.txt": "nan nan nan nan\n",
     }
     for name, content in bad_cases.items():
         path = tmp_path / name
