@@ -101,7 +101,11 @@ class CoolingReport:
 
 def syndrome_operator(v: int, j, m, n) -> np.ndarray:
     """T^(J)_{MN}: maps the (J,N) component to (J,M) with weight 1/sqrt(2J+1)."""
-    syn = Syndrome.of(j, m, n)
+    return lift_pair(_pair_syndrome_operator(Syndrome.of(j, m, n)), v)
+
+
+def _pair_syndrome_operator(syn: Syndrome) -> np.ndarray:
+    """The 25x25 pair operator that ``syndrome_operator`` lifts to a vertex."""
     tj = _twice(syn.j, "j")
     basis = pair_cg_basis()
     if tj not in basis.mu:
@@ -111,7 +115,7 @@ def syndrome_operator(v: int, j, m, n) -> np.ndarray:
     assert alphas_m == alphas_n
     bm = basis.basis[:, cols_m]
     bn = basis.basis[:, cols_n]
-    return lift_pair((bm @ bn.T) / np.sqrt(tj + 1.0), v)
+    return (bm @ bn.T) / np.sqrt(tj + 1.0)
 
 
 def syndrome_probabilities(rho: np.ndarray, v: int) -> dict[Syndrome, float]:
@@ -235,16 +239,24 @@ def recovery_kraus(v: int) -> KrausChannel:
     return KrausChannel(vertex=v, labels=tuple(label for label, _ in kraus), operators=ops)
 
 
-def cool_vertex(rho: np.ndarray, v: int) -> np.ndarray:
-    """Apply the recovery channel at vertex v: rho -> sum_K K rho K^dagger."""
+def _cool_into(rho: np.ndarray, out: np.ndarray, v: int) -> np.ndarray:
+    """Write the recovery channel at vertex v applied to rho into out.
+
+    out must be a C-contiguous complex 625x625 array; it may be rho itself,
+    because the entries the channel reads are gathered before out is cleared."""
     rows, cols, block = _pair_superoperator()
     edges = vertex_edges(v)
     pair_shape = (EDGE_DIM,) * 4  # (out ket, in ket, out bra, in bra)
     source = local_view(rho, edges)[np.unravel_index(cols, pair_shape)]
-    out = np.zeros(rho.shape, dtype=complex)
-    target = local_view(out, edges)
-    target[np.unravel_index(rows, pair_shape)] = np.tensordot(block, source, axes=1)
+    cooled = np.tensordot(block, source, axes=1)
+    out[...] = 0
+    local_view(out, edges)[np.unravel_index(rows, pair_shape)] = cooled
     return out
+
+
+def cool_vertex(rho: np.ndarray, v: int) -> np.ndarray:
+    """Apply the recovery channel at vertex v: rho -> sum_K K rho K^dagger."""
+    return _cool_into(rho, np.empty(rho.shape, dtype=complex), v)
 
 
 def cooling_sweep(rho: np.ndarray) -> np.ndarray:
@@ -269,8 +281,13 @@ def iterative_cooling(
         raise ValueError("max_sweeps must be at least 1")
     overlaps = [gi_overlap(rho)]
     sweeps = 0
+    if overlaps[-1] <= 1.0 - tol:
+        # one working copy that every sweep cools in place: a fresh 6.25 MB
+        # array per vertex costs a page fault per 4 kB page it touches
+        rho = np.array(rho, dtype=complex, order="C")
     while overlaps[-1] <= 1.0 - tol and sweeps < max_sweeps:
-        rho = cooling_sweep(rho)
+        for v in range(N_VERTICES):
+            _cool_into(rho, rho, v)
         sweeps += 1
         overlaps.append(gi_overlap(rho))
     report = CoolingReport(

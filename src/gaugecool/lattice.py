@@ -214,8 +214,14 @@ def gauge_casimir(v: int) -> np.ndarray:
 
 def gauge_action(v: int, g: np.ndarray) -> np.ndarray:
     """Unitary U(g) of the gauge transformation g applied at vertex v."""
+    return lift_pair(_pair_action(g), v)
+
+
+def _pair_action(g: np.ndarray) -> np.ndarray:
+    """The 25x25 pair operator that ``gauge_action`` lifts to a vertex:
+    conj(D(g)) on m of the outgoing edge, D(g) on n of the incoming edge."""
     d = wigner_d(1, np.asarray(g, dtype=complex))
-    return lift_pair(np.kron(_edge_m_operator(np.conj(d), 1.0), _edge_n_operator(d, 1.0)), v)
+    return np.kron(_edge_m_operator(np.conj(d), 1.0), _edge_n_operator(d, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cooling import syndrome_operator
-from .lattice import TOTAL_DIM, gauge_action, pair_cg_basis
+from .cooling import Syndrome, _pair_syndrome_operator
+from .lattice import EDGE_DIM, _pair_action, pair_cg_basis, vertex_edges
 from .su2 import wigner_d
 
 __all__ = [
@@ -293,18 +293,24 @@ def discrete_syndrome_check(d: DesignSet, v: int) -> float:
     is compared entrywise with the projector-built syndrome operator.  A set
     that averages exactly at the strength from ``required_design_strength``
     makes every pair agree; weaker sets leave a visible residue.
+
+    Both sides are 25x25 pair operators lifted by ``lattice.lift_pair``, which
+    only copies entries and adds zeros, so the max-abs gap is taken between
+    the pair operators and is the same at every vertex.
     """
+    vertex_edges(v)  # rejects a vertex index out of range
     n = d.size
     tjs = sorted(pair_cg_basis().mu)
     reps = {tj: np.stack([wigner_d(tj, g) for g in d.elements]) for tj in tjs}
+    pair_dim = EDGE_DIM**2
     acc = {
-        (tj, a, b): np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
+        (tj, a, b): np.zeros((pair_dim, pair_dim), dtype=complex)
         for tj in tjs
         for a in range(tj + 1)
         for b in range(tj + 1)
     }
     for i, g in enumerate(d.elements):
-        u = gauge_action(v, g)
+        u = _pair_action(g)
         for tj in tjs:
             rep = reps[tj][i]
             for a in range(tj + 1):
@@ -315,8 +321,8 @@ def discrete_syndrome_check(d: DesignSet, v: int) -> float:
     worst = 0.0
     for (tj, a, b), total in acc.items():
         disc = math.sqrt(tj + 1.0) / n * total
-        cont = syndrome_operator(
-            v, Fraction(tj, 2), Fraction(2 * a - tj, 2), Fraction(2 * b - tj, 2)
+        cont = _pair_syndrome_operator(
+            Syndrome(Fraction(tj, 2), Fraction(2 * a - tj, 2), Fraction(2 * b - tj, 2))
         )
         worst = max(worst, float(np.max(np.abs(disc - cont))))
     return worst

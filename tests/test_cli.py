@@ -136,6 +136,19 @@ def test_csv_byte_identical_across_processes(tmp_path):
     assert b"\r" not in outs[0]
 
 
+def test_cli_import_loads_no_scipy():
+    """scipy is a test-only extra: importing it would cost more than the CLI."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gaugecool.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_kl_audit_tables(tmp_path):
     code, header, rows = run_csv(tmp_path, "kl.csv", ["kl-audit"])
     assert code == 0

@@ -313,6 +313,20 @@ def test_iterative_cooling_report_bookkeeping():
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
 
+def test_iterative_cooling_equals_repeated_sweeps():
+    """The in-place sweeps give the bits of fresh-array sweeps and leave the
+    input alone, whatever its memory order."""
+    rho = np.asfortranarray(protocol_state())
+    before = rho.copy()
+    out, report = iterative_cooling(rho, tol=1e-5, max_sweeps=3)
+    want = rho
+    for _ in range(report.sweeps_used):
+        want = cooling_sweep(want)
+    assert report.sweeps_used == 3
+    assert np.array_equal(out, want)
+    assert np.array_equal(rho, before)
+
+
 def test_iterative_cooling_validation():
     rho = np.eye(TOTAL_DIM) / TOTAL_DIM
     with pytest.raises(ValueError):

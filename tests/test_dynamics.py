@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from gaugecool.dynamics import (
     NoiseSpec,
@@ -18,6 +19,7 @@ from gaugecool.dynamics import (
     trotter_step,
     trotter_step_state,
     trotter_unitary,
+    _components,
     _damping_kraus,
 )
 from gaugecool.hamiltonian import electric_hamiltonian, magnetic_hamiltonian
@@ -103,6 +105,92 @@ def test_trotter_unitary_is_unitary_and_factor_ordered():
     phase = np.exp(-1j * 0.1 * np.diag(electric_hamiltonian(1.0)).real)
     assert np.array_equal(u[np.ix_(still, still)], np.diag(phase[still]))
     assert not u[np.ix_(still, ~still)].any() and not u[np.ix_(~still, still)].any()
+
+
+def test_trotter_unitary_is_exactly_block_diagonal():
+    # 41 blocks of H_B (1x17, 16x5, 8x4, 16x2 states) plus 464 phases
+    assert np.count_nonzero(trotter_unitary(1.0, 0.1)) == 1345
+
+
+def random_symmetric_mask(seed, n=60, density=0.04):
+    mask = np.random.default_rng(seed).random((n, n)) < density
+    return mask | mask.T
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        *(random_symmetric_mask(seed) for seed in range(4)),
+        np.zeros((7, 7), dtype=bool),
+        np.ones((7, 7), dtype=bool),
+        magnetic_hamiltonian(1.0) != 0,
+    ],
+    ids=["random0", "random1", "random2", "random3", "empty", "full", "magnetic"],
+)
+def test_components_match_scipy(mask):
+    count, want = connected_components(mask, directed=False)
+    got = _components(len(mask), *np.nonzero(mask))
+    # same partition: each scipy label maps to exactly one of ours and back
+    assert len(set(zip(got, want))) == count == len(np.unique(got))
+    assert all(got[i] == np.flatnonzero(got == got[i]).min() for i in range(len(got)))
+    if mask.shape[0] == TOTAL_DIM:
+        assert count == 505
+
+
+@pytest.mark.parametrize("rank", [1, 8, TOTAL_DIM])
+def test_trotter_step_matches_dense_sandwich(rank):
+    rho = random_density(np.random.default_rng(rank), rank=rank)
+    cfg = TrotterConfig(g2=1.3, total_time=0.37, n_steps=1)
+    u = trotter_unitary(cfg.g2, cfg.dt)
+    dense = u @ rho @ u.conj().T
+    assert np.max(np.abs(trotter_step(rho, cfg) - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def dense_min_eigenvalue(rho):
+    return np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=30),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_hygiene_min_eigenvalue_on_permuted_blocks(sizes, seed):
+    """Block-diagonal states of random-rank blocks, rows and columns in a
+    random order, against the dense eigvalsh."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    rho = np.zeros((n, n), dtype=complex)
+    start = 0
+    for size in sizes:
+        rank = rng.integers(1, size + 1)
+        b = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
+        rho[start:start + size, start:start + size] = b @ b.conj().T
+        start += size
+    perm = rng.permutation(n)
+    rho = rho[np.ix_(perm, perm)] / np.trace(rho)
+    assert abs(hygiene(rho)[2] - dense_min_eigenvalue(rho)) <= 1e-13
+
+
+def test_hygiene_min_eigenvalue_on_dense_and_singleton_states():
+    dense = random_density(np.random.default_rng(17), rank=TOTAL_DIM)
+    assert abs(hygiene(dense)[2] - dense_min_eigenvalue(dense)) <= 1e-13
+    lone = random_density(np.random.default_rng(18), rank=3)
+    lone[:, 100] = lone[100, :] = 0.0
+    lone[100, 100] = -0.25  # a negative singleton block is the minimum
+    assert hygiene(lone)[2] == -0.25
+    assert abs(dense_min_eigenvalue(lone) + 0.25) <= 1e-13
+
+
+def test_hygiene_reads_one_sided_entries():
+    """An entry whose transpose is zero still joins its block."""
+    rho = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
+    rho[0, 0] = rho[1, 1] = 0.5
+    rho[7, 300] = 1e-9j
+    trace_dev, herm_dev, min_eig = hygiene(rho)
+    assert trace_dev == 0.0
+    assert herm_dev == 1e-9
+    assert min_eig == pytest.approx(-5e-10, rel=1e-12)
 
 
 def test_trotter_unitary_cache_is_bounded():
