@@ -5,8 +5,10 @@ magnetic factor first.  H_B moves only 161 of the 625 basis states, and its
 nonzero graph splits them into 41 connected blocks of at most 17 states, so
 ``herm_expm`` runs on each block and exp(-i H_B dt) is exactly 1 on the other
 464 states; the electric factor is diagonal.  U is block diagonal with 1,345
-nonzeros.  ``trotter_step`` multiplies the 161 moved rows and columns of rho by
-U's dense moved block and the other 464 by their electric phase.
+nonzeros; the steps keep only its factors (``_trotter_factors``).  Both Trotter
+steps multiply the 161 moved entries (rows and columns of rho) by U's dense
+moved block and the other 464 by their electric phase.  ``trotter_unitary``
+assembles the dense U from the same factors, as a reference.
 
 ``hygiene`` takes the minimum eigenvalue block by block as well: the spectrum
 of a matrix is the union of the spectra of its nonzero graph's connected
@@ -150,14 +152,13 @@ def _trotter_factors(g2: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.n
     return moved, block, phases
 
 
-@lru_cache(maxsize=4)  # 6.25 MB an entry; a run uses one (g2, dt)
 def trotter_unitary(g2: float, dt: float) -> np.ndarray:
-    """U = exp(-i H_E dt) exp(-i H_B dt) at coupling g2: the moved block of
-    ``_trotter_factors`` and the electric phase on the diagonal elsewhere."""
+    """U = exp(-i H_E dt) exp(-i H_B dt) at coupling g2 as a dense 625x625
+    reference: the moved block of ``_trotter_factors`` and the electric phase
+    on the diagonal elsewhere."""
     moved, block, phases = _trotter_factors(g2, dt)
     u = np.diag(phases)
     u[np.ix_(moved, moved)] = block
-    u.setflags(write=False)
     return u
 
 
@@ -175,8 +176,12 @@ def trotter_step(rho: np.ndarray, cfg: TrotterConfig) -> np.ndarray:
 
 
 def trotter_step_state(psi: np.ndarray, cfg: TrotterConfig) -> np.ndarray:
-    """One noiseless Trotter step of a pure state (the ideal reference)."""
-    return trotter_unitary(cfg.g2, cfg.dt) @ psi
+    """One noiseless Trotter step of a pure state (the ideal reference): U @ psi,
+    with U on the first axis, so a (625, k) stack steps column by column."""
+    moved, block, phases = _trotter_factors(cfg.g2, cfg.dt)
+    out = psi * phases.reshape(phases.shape + (1,) * (psi.ndim - 1))
+    out[moved] = block @ psi[moved]
+    return out
 
 
 def apply_edge_kraus(rho: np.ndarray, kraus: list[np.ndarray], edge: int) -> np.ndarray:

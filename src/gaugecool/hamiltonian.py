@@ -87,7 +87,6 @@ def edge_tensor(e: int) -> np.ndarray:
     return _edge_tensor()
 
 
-@lru_cache(maxsize=None)
 def magnetic_plaquette_matrix() -> np.ndarray:
     """Cyclic contraction of the four edge tensors: the 625x625 matrix of the
     plaquette trace (before the Hermitian part and -1/g^2 scaling).
@@ -108,9 +107,7 @@ def magnetic_plaquette_matrix() -> np.ndarray:
     p = sum(
         np.kron(m012[a, b2], t[b2, a]) for a in range(2) for b2 in range(2)
     )
-    p = p.astype(complex)
-    p.setflags(write=False)
-    return p
+    return p.astype(complex)
 
 
 def magnetic_hamiltonian(g2: float = 1.0) -> np.ndarray:

@@ -206,7 +206,7 @@ def multiplicity_map(error, edge: int, m_target: int | None = None) -> Multiplic
     key = error.upper() if isinstance(error, str) else error
     if key == "I":
         raise ValueError("the identity is not an error; no multiplicity map")
-    full = edge_operator(key, edge)  # validates both the label and the edge
+    edge_operator(key, edge)  # validates both the label and the edge
     allowed = _M_COMPONENTS[key]
     if m_target is None:
         if len(allowed) > 1:
@@ -214,9 +214,7 @@ def multiplicity_map(error, edge: int, m_target: int | None = None) -> Multiplic
         m_target = allowed[0]
     if m_target not in allowed:
         raise ValueError(f"a {key} error cannot reach M = {m_target} from a singlet")
-    b = coord4_cg_basis()
-    a = b.triplets(m_target).conj().T @ full @ b.singlets
-    a = a / _reduced_matrix_element()
+    a = _raw_map(key, edge, m_target) / _reduced_matrix_element()
     a.setflags(write=False)
     return MultiplicityMap(key, edge, m_target, a)
 

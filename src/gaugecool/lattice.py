@@ -192,24 +192,16 @@ def _pair_generators() -> np.ndarray:
     return gens
 
 
-@lru_cache(maxsize=None)
 def gauge_generator(v: int, axis: str) -> np.ndarray:
     """Hermitian gauge generator G_a at vertex v, axis in {'x','y','z'}."""
     if axis not in _AXES:
         raise ValueError("axis must be 'x', 'y' or 'z'")
-    g = lift_pair(_pair_generators()[_AXES[axis]], v)
-    g.setflags(write=False)
-    return g
+    return lift_pair(_pair_generators()[_AXES[axis]], v)
 
 
-@lru_cache(maxsize=None)
 def gauge_casimir(v: int) -> np.ndarray:
     """Quadratic Casimir sum_a G_a^2 of the gauge action at vertex v."""
-    c = sum(
-        gauge_generator(v, a) @ gauge_generator(v, a) for a in ("x", "y", "z")
-    )
-    c.setflags(write=False)
-    return c
+    return lift_pair(sum(g @ g for g in _pair_generators()), v)
 
 
 def gauge_action(v: int, g: np.ndarray) -> np.ndarray:
@@ -315,8 +307,10 @@ class CGEntry:
 
 class VertexCGBasis:
     """Orthonormal basis {|J, M, alpha>} of the 625-dim space at one vertex,
-    or of the 25-dim edge pair of a vertex (``vertex`` is None).  It is
-    shared between callers, so ``entries``, ``mu`` and ``basis`` are read-only."""
+    or of the 25-dim edge pair of a vertex (``vertex`` is None).  ``entries``
+    and ``mu`` are read-only.  The pair basis is cached and shared between
+    callers, so its ``basis`` array is read-only too; ``build_cg_basis``
+    builds a fresh 625-dim basis on each call."""
 
     def __init__(self, vertex: int | None, entries: list[CGEntry], basis: np.ndarray):
         self.vertex = vertex
@@ -378,7 +372,6 @@ def pair_cg_basis() -> VertexCGBasis:
     return VertexCGBasis(None, entries, basis)
 
 
-@lru_cache(maxsize=None)
 def build_cg_basis(v: int) -> VertexCGBasis:
     """Simultaneous (Casimir, G_z) eigenbasis at vertex v with raising-chain
     phases and spectator-definite multiplicity labels.
@@ -400,17 +393,13 @@ def build_cg_basis(v: int) -> VertexCGBasis:
         for col, (e, r) in enumerate(order)
     ]
     basis = lift_pair(pair.basis, v)[:, [layout[e.column, r] for e, r in order]]
-    basis.setflags(write=False)
     return VertexCGBasis(v, entries, basis)
 
 
-@lru_cache(maxsize=None)
 def singlet_projector(v: int) -> np.ndarray:
     """Orthogonal projector onto the J=0 (gauge-invariant) sector at v."""
     s = pair_cg_basis().singlet_matrix()
-    p = lift_pair(s @ s.conj().T, v)
-    p.setflags(write=False)
-    return p
+    return lift_pair(s @ s.conj().T, v)
 
 
 @lru_cache(maxsize=None)

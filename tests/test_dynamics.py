@@ -21,6 +21,7 @@ from gaugecool.dynamics import (
     trotter_unitary,
     _components,
     _damping_kraus,
+    _trotter_factors,
 )
 from gaugecool.hamiltonian import electric_hamiltonian, magnetic_hamiltonian
 from gaugecool.lattice import (
@@ -193,12 +194,24 @@ def test_hygiene_reads_one_sided_entries():
     assert min_eig == pytest.approx(-5e-10, rel=1e-12)
 
 
-def test_trotter_unitary_cache_is_bounded():
-    bound = trotter_unitary.cache_info().maxsize
+def test_trotter_factors_cache_is_bounded():
+    bound = _trotter_factors.cache_info().maxsize
     assert bound is not None
     for k in range(bound + 3):
-        trotter_unitary(1.0, 0.01 * (k + 1))
-    assert trotter_unitary.cache_info().currsize <= bound
+        _trotter_factors(1.0, 0.01 * (k + 1))
+    assert _trotter_factors.cache_info().currsize <= bound
+
+
+@pytest.mark.parametrize("g2, dt", [(1.0, 0.1), (0.5, 0.05), (2.0, 0.2), (1.3, 0.37)])
+@pytest.mark.parametrize("shape", [(TOTAL_DIM,), (TOTAL_DIM, 3)])
+def test_trotter_step_state_matches_dense_unitary(g2, dt, shape):
+    rng = np.random.default_rng(len(shape))
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    psi /= np.linalg.norm(psi, axis=0)
+    cfg = TrotterConfig(g2=g2, total_time=dt, n_steps=1)
+    stepped = trotter_step_state(psi, cfg)
+    assert stepped.shape == shape
+    assert np.max(np.abs(stepped - trotter_unitary(g2, dt) @ psi)) <= 1e-15
 
 
 def test_trotter_unitary_zero_dt_is_identity():

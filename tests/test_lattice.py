@@ -1,6 +1,11 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gaugecool.dynamics import trotter_unitary
+from gaugecool.hamiltonian import magnetic_plaquette_matrix
 from gaugecool.lattice import (
     EDGE_ENDPOINTS,
     TOTAL_DIM,
@@ -180,6 +185,35 @@ def test_gauge_generator_algebra():
         gz = gauge_generator(v, "z")
         assert np.max(np.abs(gx - gx.conj().T)) < 1e-14
         assert np.max(np.abs(gx @ gy - gy @ gx - 1j * gz)) < 1e-12
+
+
+def test_gauge_casimir_is_the_sum_of_squared_generators():
+    for v in range(4):
+        squares = sum(gauge_generator(v, a) @ gauge_generator(v, a) for a in ("x", "y", "z"))
+        assert np.array_equal(gauge_casimir(v), squares)
+
+
+def test_dense_operator_builders_retain_no_dense_array():
+    """No cache keeps a dense 625x625 operator once its caller drops it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        magnetic_plaquette_matrix()
+        trotter_unitary(1.0, 0.37)
+        for v in range(4):
+            gauge_generator(v, "z")
+            gauge_casimir(v)
+            singlet_projector(v)
+            build_cg_basis(v)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert retained < TOTAL_DIM**2 * np.dtype(complex).itemsize
 
 
 def test_gauge_generators_annihilate_vacuum():
