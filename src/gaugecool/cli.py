@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -85,6 +86,8 @@ class RunConfig:
             raise ValueError(f"noise must be one of {sorted(_NOISE_FLAGS)}")
         if not math.isfinite(self.tol) or self.tol <= 0:
             raise ValueError("tol must be a finite positive number")
+        if not isinstance(self.max_sweeps, numbers.Integral):
+            raise ValueError("max_sweeps must be an integer")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
 

@@ -38,6 +38,7 @@ tested against them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -277,6 +278,8 @@ def iterative_cooling(
     """Sweep until the GI overlap exceeds 1 - tol or max_sweeps is reached."""
     if not math.isfinite(tol) or tol <= 0:
         raise ValueError("tol must be a finite positive number")
+    if not isinstance(max_sweeps, numbers.Integral):
+        raise ValueError("max_sweeps must be an integer")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     overlaps = [gi_overlap(rho)]

@@ -31,13 +31,14 @@ trace preserving and completely positive.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .hamiltonian import electric_hamiltonian, magnetic_hamiltonian
-from .lattice import EDGE_DIM, N_EDGES, TOTAL_DIM, local_view
+from .lattice import EDGE_DIM, N_EDGES, TOTAL_DIM, _check_edge, local_view
 
 __all__ = [
     "TrotterConfig",
@@ -68,6 +69,8 @@ class TrotterConfig:
     def __post_init__(self):
         if not math.isfinite(self.g2) or self.g2 <= 0:
             raise ValueError("g2 must be a finite positive number")
+        if not isinstance(self.n_steps, numbers.Integral):
+            raise ValueError("n_steps must be an integer")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if not math.isfinite(self.total_time) or self.total_time <= 0:
@@ -93,12 +96,13 @@ class NoiseSpec:
 
 
 def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, via eigendecomposition."""
+    """exp(-i h t) for Hermitian h, or for each matrix of a stack h[..., :, :],
+    via eigendecomposition."""
     h = np.asarray(h)
-    if np.max(np.abs(h - h.conj().T)) > 1e-10:
+    if np.max(np.abs(h - h.conj().swapaxes(-1, -2))) > 1e-10:
         raise ValueError("herm_expm requires a Hermitian matrix")
     evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
+    return (evecs * np.exp(-1j * t * evals)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
 
 def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -136,15 +140,14 @@ def _trotter_factors(g2: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.n
     ``moved`` lists the states H_B moves, ``block`` is U on them (dense,
     161x161) and ``phases`` is exp(-i H_E dt), U's diagonal on every other
     state.  exp(-i H_B dt) is exponentiated on each connected block of H_B's
-    nonzero graph and is exact zero between blocks."""
+    nonzero graph, one stack per block size, and is exact zero between blocks."""
     hb = magnetic_hamiltonian(g2)
     moved = np.flatnonzero(hb.any(axis=1))
     hb = hb[np.ix_(moved, moved)]
     block = np.zeros(hb.shape, dtype=complex)
-    for comps in _blocks_by_size(_components(len(hb), *np.nonzero(hb))):
-        for comp in comps:
-            ix = np.ix_(comp, comp)
-            block[ix] = herm_expm(hb[ix], dt)
+    for idx in _blocks_by_size(_components(len(hb), *np.nonzero(hb))):
+        ix = idx[:, :, None], idx[:, None, :]
+        block[ix] = herm_expm(hb[ix], dt)
     phases = np.exp(-1j * dt * np.diag(electric_hamiltonian(g2)).real)
     block *= phases[moved, None]
     for a in (moved, block, phases):
@@ -186,8 +189,7 @@ def trotter_step_state(psi: np.ndarray, cfg: TrotterConfig) -> np.ndarray:
 
 def apply_edge_kraus(rho: np.ndarray, kraus: list[np.ndarray], edge: int) -> np.ndarray:
     """sum_K (K on edge) rho (K on edge)^dagger without forming 625x625 Kraus."""
-    if not 0 <= edge < N_EDGES:
-        raise ValueError("edge index out of range")
+    _check_edge(edge)
     ket_split = (EDGE_DIM**edge, EDGE_DIM, -1)  # (kets before edge, edge ket, rest)
     bra_split = (TOTAL_DIM * EDGE_DIM**edge, EDGE_DIM, -1)  # (..., edge bra, rest)
     out = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
@@ -203,13 +205,12 @@ def _edge_channel(rho: np.ndarray, edge: int, rate: float, form) -> np.ndarray:
     ``form(rate)`` gives (scale, pool, targets, weight); i runs over targets."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("noise rate must lie in [0, 1]")
-    if not 0 <= edge < N_EDGES:
-        raise ValueError("edge index out of range")
+    r8 = local_view(rho, (edge,))
     if rate == 0.0:
         return rho.copy()
     scale, pool, targets, weight = form(rate)
     out = np.empty((TOTAL_DIM, TOTAL_DIM), dtype=np.result_type(rho, scale))
-    r8, o8 = local_view(rho, (edge,)), local_view(out, (edge,))
+    o8 = local_view(out, (edge,))
     np.multiply(r8, scale.reshape(scale.shape + (1,) * (2 * N_EDGES - 2)), out=o8)
     fed = weight * sum(r8[j, j] for j in pool)
     for i in targets:

@@ -32,7 +32,6 @@ from .su2 import clebsch_gordan, haar_batch
 __all__ = [
     "electric_edge_term",
     "electric_hamiltonian",
-    "edge_tensor",
     "magnetic_plaquette_matrix",
     "magnetic_hamiltonian",
     "haar_mc_oracle",
@@ -55,6 +54,12 @@ def electric_hamiltonian(g2: float = 1.0) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _edge_tensor() -> np.ndarray:
+    """Link-operator tensor T[a, b, I', I], the same on every edge.
+
+    Indices a, b run over the fundamental components (-1/2, +1/2); I', I over
+    the 5-dimensional edge basis.  Entries violating the selection rules are
+    structurally zero.
+    """
     labels = edge_basis(1)
     t = np.zeros((2, 2, EDGE_DIM, EDGE_DIM))
     for i, (tj, tm, tn) in enumerate(labels):
@@ -73,18 +78,6 @@ def _edge_tensor() -> np.ndarray:
                     t[ai, bi, ip, i] = np.sqrt(djp * dj) * cm * cn / djp
     t.setflags(write=False)
     return t
-
-
-def edge_tensor(e: int) -> np.ndarray:
-    """Link-operator tensor T[a, b, I', I] of edge e (identical for all edges).
-
-    Indices a, b run over the fundamental components (-1/2, +1/2); I', I over
-    the 5-dimensional edge basis.  Entries violating the selection rules are
-    structurally zero.
-    """
-    if not 0 <= e < N_EDGES:
-        raise ValueError("edge index out of range")
-    return _edge_tensor()
 
 
 def magnetic_plaquette_matrix() -> np.ndarray:
@@ -118,9 +111,10 @@ def magnetic_hamiltonian(g2: float = 1.0) -> np.ndarray:
     return -(p + p.conj().T) / (2.0 * g2)
 
 
-def haar_mc_oracle(
-    n_samples: int, rng: np.random.Generator, chunk: int = 2000
-) -> np.ndarray:
+_MC_CHUNK = 2000
+
+
+def haar_mc_oracle(n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Monte Carlo estimate of the plaquette-trace matrix.
 
     Draws Haar-random (g0, g1, g2, g3), evaluates the normalized Wigner
@@ -136,7 +130,7 @@ def haar_mc_oracle(
     total = np.zeros((EDGE_DIM**4, EDGE_DIM**4), dtype=complex)
     done = 0
     while done < n_samples:
-        size = min(chunk, n_samples - done)
+        size = min(_MC_CHUNK, n_samples - done)
         gs = [haar_batch(rng, size) for _ in range(N_EDGES)]
         # per-edge Wigner vectors: [1, sqrt(2) g_mn] in (m,n) row-major order
         vs = []

@@ -43,7 +43,6 @@ __all__ = [
     "TOTAL_DIM",
     "EDGE_ENDPOINTS",
     "vertex_edges",
-    "edge_dimension",
     "edge_basis",
     "edge_state_index",
     "product_index",
@@ -61,7 +60,6 @@ __all__ = [
     "pair_cg_basis",
     "singlet_projector",
     "physical_subspace_basis",
-    "physical_subspace_dimension",
 ]
 
 N_EDGES = 4
@@ -84,11 +82,9 @@ def vertex_edges(v: int) -> tuple[int, int]:
     return out, inc
 
 
-def edge_dimension(twice_j_max: int) -> int:
-    """Total edge dimension sum_{j<=j_max} (2j+1)^2 over half-integer steps."""
-    if twice_j_max < 0:
-        raise ValueError("twice_j_max must be non-negative")
-    return sum((tj + 1) ** 2 for tj in range(twice_j_max + 1))
+def _check_edge(e: int) -> None:
+    if e not in range(N_EDGES):
+        raise ValueError("edge index out of range")
 
 
 def edge_basis(twice_j_max: int = 1):
@@ -129,6 +125,8 @@ def local_view(rho: np.ndarray, edges: tuple[int, ...]) -> np.ndarray:
     """rho as (local kets, local bras, other kets, other bras), the others ascending.
 
     For a C-contiguous rho this is a view, so writing into it writes rho."""
+    for e in edges:
+        _check_edge(e)
     rest = tuple(e for e in range(N_EDGES) if e not in edges)
     axes = (*edges, *(N_EDGES + e for e in edges), *rest, *(N_EDGES + e for e in rest))
     return rho.reshape((EDGE_DIM,) * (2 * N_EDGES)).transpose(axes)
@@ -139,8 +137,7 @@ def embed_edge_operator(op: np.ndarray, edge: int) -> np.ndarray:
     op = np.asarray(op)
     if op.shape != (EDGE_DIM, EDGE_DIM):
         raise ValueError(f"edge operator must be {EDGE_DIM}x{EDGE_DIM}")
-    if not 0 <= edge < N_EDGES:
-        raise ValueError("edge index out of range")
+    _check_edge(edge)
     eye = np.eye(EDGE_DIM)
     mats = [op if e == edge else eye for e in range(N_EDGES)]
     return reduce(np.kron, mats)
@@ -331,11 +328,6 @@ class VertexCGBasis:
         ]
         return [c for c, _ in pairs], [a for _, a in pairs]
 
-    def singlet_matrix(self) -> np.ndarray:
-        """dim x mu_0 matrix of the J=0 basis vectors, in alpha order."""
-        cols, _ = self.columns(0, 0)
-        return self.basis[:, cols]
-
 
 @lru_cache(maxsize=None)
 def pair_cg_basis() -> VertexCGBasis:
@@ -398,7 +390,8 @@ def build_cg_basis(v: int) -> VertexCGBasis:
 
 def singlet_projector(v: int) -> np.ndarray:
     """Orthogonal projector onto the J=0 (gauge-invariant) sector at v."""
-    s = pair_cg_basis().singlet_matrix()
+    pair = pair_cg_basis()
+    s = pair.basis[:, pair.columns(0, 0)[0]]
     return lift_pair(s @ s.conj().T, v)
 
 
@@ -410,8 +403,3 @@ def physical_subspace_basis() -> np.ndarray:
     basis = evecs[:, evals < 1e-8]
     basis.setflags(write=False)
     return basis
-
-
-def physical_subspace_dimension() -> int:
-    """Dimension of the common null space of the four vertex Casimirs."""
-    return physical_subspace_basis().shape[1]

@@ -24,10 +24,8 @@ from types import MappingProxyType
 import numpy as np
 
 __all__ = [
-    "spin_dim",
     "m_values",
     "spin_matrices",
-    "ladder_plus",
     "coupled_spins",
     "cg_isometry",
     "clebsch_gordan",
@@ -37,13 +35,6 @@ __all__ = [
     "pauli_matrices",
     "spherical_pauli",
 ]
-
-
-def spin_dim(twice_j: int) -> int:
-    """Dimension 2j+1 of the spin-j irreducible representation."""
-    if twice_j < 0:
-        raise ValueError("twice_j must be a non-negative integer")
-    return twice_j + 1
 
 
 def m_values(twice_j: int) -> np.ndarray:
@@ -79,11 +70,6 @@ def spin_matrices(twice_j: int):
         raise ValueError("twice_j must be a non-negative integer")
     jx, jy, jz, _ = _spin_matrices(twice_j)
     return jx, jy, jz
-
-
-def ladder_plus(twice_j: int) -> np.ndarray:
-    """Raising operator J+ = Jx + i Jy in the ascending-m basis."""
-    return _spin_matrices(twice_j)[3]
 
 
 def coupled_spins(twice_j1: int, twice_j2: int):

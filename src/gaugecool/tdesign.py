@@ -6,10 +6,11 @@ orthogonality of the representation matrix entries, and
 ``binary_octahedral_design`` supplies a concrete 48-element set that averages
 exactly up to degree three — enough for every syndrome operator on the
 five-level edges.  ``truncated_qft`` builds the group Fourier matrix cut off
-at an output spin, together with a kernel identity check and a deterministic
-unitary embedding of its rows.  ``discrete_syndrome_check`` ties everything
-together: the group-averaged syndrome operators computed from a sufficiently
-strong element set must equal the exact projector-built ones.
+at an output spin, one row per (j, m, n) of ``lattice.edge_basis`` at that
+cut, together with a kernel identity check and a deterministic unitary
+embedding of its rows.  ``discrete_syndrome_check`` ties everything together:
+the group-averaged syndrome operators computed from a sufficiently strong
+element set must equal the exact projector-built ones.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .cooling import Syndrome, _pair_syndrome_operator
-from .lattice import EDGE_DIM, _pair_action, pair_cg_basis, vertex_edges
-from .su2 import wigner_d
+from .lattice import _pair_action, edge_basis, pair_cg_basis, vertex_edges
+from .su2 import _twice, wigner_d
 
 __all__ = [
     "DesignSet",
@@ -55,13 +56,6 @@ def _checked_su2(g, where: str) -> np.ndarray:
         raise ValueError(f"{where} must have determinant 1")
     arr.setflags(write=False)
     return arr
-
-
-def _twice_spin(j) -> int:
-    tj = 2 * Fraction(j)
-    if tj.denominator != 1 or tj < 0:
-        raise ValueError(f"spin {j} is not a non-negative half-integer")
-    return int(tj)
 
 
 @dataclass(frozen=True)
@@ -215,25 +209,23 @@ def verify_tdesign(d: DesignSet, t: int) -> float:
 
 
 def truncated_qft(d: DesignSet, j_cut) -> TruncatedQFT:
-    """The d_out x n_t Fourier matrix sqrt((2j+1)/n_t) * conj[pi_j(g_i)]_mn."""
-    tcut = _twice_spin(j_cut)
+    """The d_out x n_t Fourier matrix sqrt((2j+1)/n_t) * conj[pi_j(g_i)]_mn,
+    its rows in the ``lattice.edge_basis`` order."""
+    tcut = _twice(j_cut, "j_cut")
+    if tcut < 0:
+        raise ValueError(f"j_cut = {j_cut} is negative")
+    labels = edge_basis(tcut)
     n = d.size
-    d_out = sum((tj + 1) ** 2 for tj in range(tcut + 1))
-    if n < d_out:
-        raise ValueError(f"output space needs {d_out} elements, set has {n}")
-    labels, rows = [], []
-    for tj in range(tcut + 1):
-        rep = np.stack([wigner_d(tj, g) for g in d.elements])
-        scale = math.sqrt((tj + 1.0) / n)
-        for a in range(tj + 1):
-            for b in range(tj + 1):
-                labels.append(
-                    (Fraction(tj, 2), Fraction(2 * a - tj, 2), Fraction(2 * b - tj, 2))
-                )
-                rows.append(scale * rep[:, a, b].conj())
-    w = np.array(rows)
+    if n < len(labels):
+        raise ValueError(f"output space needs {len(labels)} elements, set has {n}")
+    reps = [np.stack([wigner_d(tj, g) for g in d.elements]) for tj in range(tcut + 1)]
+    w = np.array([
+        math.sqrt((tj + 1.0) / n) * reps[tj][:, (tm + tj) // 2, (tn + tj) // 2].conj()
+        for tj, tm, tn in labels
+    ])
     w.setflags(write=False)
-    return TruncatedQFT(j_cut=Fraction(tcut, 2), labels=tuple(labels), w=w)
+    fractions = tuple(tuple(Fraction(x, 2) for x in lab) for lab in labels)
+    return TruncatedQFT(j_cut=Fraction(tcut, 2), labels=fractions, w=w)
 
 
 def qft_kernel_check(d: DesignSet, j_cut) -> float:
@@ -296,33 +288,21 @@ def discrete_syndrome_check(d: DesignSet, v: int) -> float:
 
     Both sides are 25x25 pair operators lifted by ``lattice.lift_pair``, which
     only copies entries and adds zeros, so the max-abs gap is taken between
-    the pair operators and is the same at every vertex.
+    the pair operators and is the same at every vertex.  The average for every
+    (M, N) of one J is a single contraction of the stacked conj(pi_J(g_i))
+    with the stacked pair actions.
     """
     vertex_edges(v)  # rejects a vertex index out of range
     n = d.size
-    tjs = sorted(pair_cg_basis().mu)
-    reps = {tj: np.stack([wigner_d(tj, g) for g in d.elements]) for tj in tjs}
-    pair_dim = EDGE_DIM**2
-    acc = {
-        (tj, a, b): np.zeros((pair_dim, pair_dim), dtype=complex)
-        for tj in tjs
-        for a in range(tj + 1)
-        for b in range(tj + 1)
-    }
-    for i, g in enumerate(d.elements):
-        u = _pair_action(g)
-        for tj in tjs:
-            rep = reps[tj][i]
-            for a in range(tj + 1):
-                for b in range(tj + 1):
-                    coeff = np.conj(rep[a, b])
-                    if abs(coeff) > 1e-15:
-                        acc[(tj, a, b)] += coeff * u
+    u = np.stack([_pair_action(g) for g in d.elements])
     worst = 0.0
-    for (tj, a, b), total in acc.items():
-        disc = math.sqrt(tj + 1.0) / n * total
-        cont = _pair_syndrome_operator(
-            Syndrome(Fraction(tj, 2), Fraction(2 * a - tj, 2), Fraction(2 * b - tj, 2))
-        )
-        worst = max(worst, float(np.max(np.abs(disc - cont))))
+    for tj in sorted(pair_cg_basis().mu):
+        rep = np.stack([wigner_d(tj, g) for g in d.elements])
+        disc = math.sqrt(tj + 1.0) / n * np.einsum("iab,ipq->abpq", rep.conj(), u)
+        for a in range(tj + 1):
+            for b in range(tj + 1):
+                cont = _pair_syndrome_operator(
+                    Syndrome(Fraction(tj, 2), Fraction(2 * a - tj, 2), Fraction(2 * b - tj, 2))
+                )
+                worst = max(worst, float(np.max(np.abs(disc[a, b] - cont))))
     return worst

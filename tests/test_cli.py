@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,14 @@ import numpy as np
 import pytest
 
 from gaugecool.cli import RunConfig, build_parser, main
+
+# the package source first on the path of a child interpreter, as pytest's
+# pythonpath setting does for this process
+SRC = Path(__file__).resolve().parents[1] / "src"
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_csv(tmp_path, name, argv):
@@ -128,6 +137,7 @@ def test_csv_byte_identical_across_processes(tmp_path):
              "--max-sweeps", "2", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
@@ -144,6 +154,7 @@ def test_cli_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -241,6 +252,11 @@ def test_unknown_noise_kind_is_value_error():
     # argparse restricts --noise; a library caller reaches RunConfig directly
     with pytest.raises(ValueError, match="noise"):
         RunConfig(noise="thermal")
+
+
+def test_non_integral_max_sweeps_is_value_error():
+    with pytest.raises(ValueError, match="integer"):
+        RunConfig(max_sweeps=2.5)
 
 
 def test_unconverged_cooling_warns_on_stderr(tmp_path, capsys):

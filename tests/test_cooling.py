@@ -333,6 +333,8 @@ def test_iterative_cooling_validation():
         iterative_cooling(rho, tol=0.0)
     with pytest.raises(ValueError):
         iterative_cooling(rho, tol=1e-5, max_sweeps=0)
+    with pytest.raises(ValueError):
+        iterative_cooling(rho, tol=1e-5, max_sweeps=2.5)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             iterative_cooling(rho, tol=bad)

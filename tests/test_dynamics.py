@@ -85,6 +85,9 @@ def test_trotter_config_validation():
     with pytest.raises(ValueError):
         TrotterConfig(n_steps=0)
     with pytest.raises(ValueError):
+        TrotterConfig(total_time=1.0, n_steps=2.5)
+    assert TrotterConfig(n_steps=np.int64(30)).dt == cfg.dt
+    with pytest.raises(ValueError):
         TrotterConfig(total_time=0.0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaugecool.hamiltonian import (
-    edge_tensor,
+    _edge_tensor,
     electric_edge_term,
     electric_hamiltonian,
     haar_mc_oracle,
@@ -40,7 +40,7 @@ def test_electric_commutes_with_casimirs():
 
 
 def test_edge_tensor_frozen_value():
-    t = edge_tensor(0)
+    t = _edge_tensor()
     # raising the vacuum edge with a = b = +1/2 lands on |1/2,+,+> with 1/sqrt(2)
     ip = edge_state_index(1, 1, 1)
     assert t[1, 1, ip, 0] == pytest.approx(1 / np.sqrt(2))
@@ -50,7 +50,7 @@ def test_edge_tensor_frozen_value():
 
 
 def test_edge_tensor_selection_rules():
-    t = edge_tensor(2)
+    t = _edge_tensor()
     labels = edge_basis(1)
     for (ai, ta), (bi, tb) in itertools.product(enumerate((-1, 1)), repeat=2):
         for i, (tj, tm, tn) in enumerate(labels):

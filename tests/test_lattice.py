@@ -4,14 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaugecool.dynamics import trotter_unitary
+from gaugecool.dynamics import (
+    amplitude_damping_channel,
+    apply_edge_kraus,
+    depolarizing_channel,
+    trotter_unitary,
+)
 from gaugecool.hamiltonian import magnetic_plaquette_matrix
 from gaugecool.lattice import (
     EDGE_ENDPOINTS,
     TOTAL_DIM,
     build_cg_basis,
     edge_basis,
-    edge_dimension,
     edge_state_index,
     embed_edge_operator,
     gauge_action,
@@ -22,7 +26,6 @@ from gaugecool.lattice import (
     pair_cg_basis,
     pair_edges,
     physical_subspace_basis,
-    physical_subspace_dimension,
     product_index,
     singlet_projector,
     vacuum_state,
@@ -54,9 +57,7 @@ def test_geometry():
 
 
 def test_edge_dimension():
-    assert edge_dimension(0) == 1
-    assert edge_dimension(1) == 5
-    assert edge_dimension(2) == 14
+    assert [len(edge_basis(k)) for k in (0, 1, 2)] == [1, 5, 14]
 
 
 def test_edge_basis_enumeration():
@@ -152,6 +153,24 @@ _VERTEX_CALLS = {
 def test_vertex_out_of_range_is_value_error(name, v):
     with pytest.raises(ValueError, match="vertex index out of range"):
         _VERTEX_CALLS[name](v)
+
+
+_EDGE_CALLS = {
+    "embed_edge_operator": lambda e: embed_edge_operator(np.eye(5), e),
+    "local_view": lambda e: local_view(_VACUUM_RHO, (e,)),
+    "apply_edge_kraus": lambda e: apply_edge_kraus(_VACUUM_RHO, [np.eye(5)], e),
+    "depolarizing_channel_rate0": lambda e: depolarizing_channel(_VACUUM_RHO, e, 0.0),
+    "depolarizing_channel": lambda e: depolarizing_channel(_VACUUM_RHO, e, 0.1),
+    "amplitude_damping_channel_rate0": lambda e: amplitude_damping_channel(_VACUUM_RHO, e, 0.0),
+    "amplitude_damping_channel": lambda e: amplitude_damping_channel(_VACUUM_RHO, e, 0.1),
+}
+
+
+@pytest.mark.parametrize("e", [4, -1, 1.5])
+@pytest.mark.parametrize("name", sorted(_EDGE_CALLS))
+def test_edge_out_of_range_is_value_error(name, e):
+    with pytest.raises(ValueError, match="edge index out of range"):
+        _EDGE_CALLS[name](e)
 
 
 @pytest.mark.parametrize(
@@ -321,7 +340,7 @@ def test_cg_basis_is_pair_basis_times_spectator_states():
 def test_cg_basis_singlets_first():
     cg = build_cg_basis(0)
     assert all(e.twice_J == 0 for e in cg.entries[:125])
-    assert cg.singlet_matrix().shape == (TOTAL_DIM, 125)
+    assert cg.columns(0, 0)[0] == list(range(125))
 
 
 def test_gauge_action_block_structure():
@@ -357,8 +376,8 @@ def test_singlet_projector_matches_casimir_nullspace():
 
 
 def test_physical_subspace():
-    assert physical_subspace_dimension() == 2
     basis = physical_subspace_basis()
+    assert basis.shape == (TOTAL_DIM, 2)
     assert not basis.flags.writeable
     psi = vacuum_state()
     # vacuum lies in the subspace

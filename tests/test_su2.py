@@ -10,11 +10,9 @@ from gaugecool.su2 import (
     clebsch_gordan,
     coupled_spins,
     haar_sample,
-    ladder_plus,
     m_values,
     pauli_matrices,
     spherical_pauli,
-    spin_dim,
     spin_matrices,
     wigner_d,
 )
@@ -41,9 +39,7 @@ def sym_power_rep(g, n):
 
 
 def test_spin_dim_and_m_values():
-    assert spin_dim(0) == 1
-    assert spin_dim(1) == 2
-    assert spin_dim(4) == 5
+    assert [len(m_values(tj)) for tj in (0, 1, 4)] == [1, 2, 5]
     assert np.allclose(m_values(3), [-1.5, -0.5, 0.5, 1.5])
 
 
@@ -80,7 +76,8 @@ def test_su2_algebra_and_casimir(tj):
 
 
 def test_ladder_plus_action():
-    jp = ladder_plus(2)
+    jx, jy, _ = spin_matrices(2)
+    jp = jx + 1j * jy
     # J+ |1,-1> = sqrt(2) |1,0>
     v = np.zeros(3)
     v[0] = 1.0
@@ -206,7 +203,7 @@ def test_spherical_pauli_values():
 
 def test_spherical_pauli_is_rank1_tensor():
     jx, jy, jz = spin_matrices(1)
-    jp = ladder_plus(1)
+    jp = jx + 1j * jy
     for q in (-1, 0, 1):
         oq = spherical_pauli(q)
         assert np.max(np.abs(jz @ oq - oq @ jz - q * oq)) < 1e-12
