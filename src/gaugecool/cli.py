@@ -19,15 +19,13 @@ LF line endings, no timestamps.  Exit codes: 0 success, 1 check failure,
 from __future__ import annotations
 
 import argparse
-import math
-import numbers
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
-from .cooling import CoolingReport, gi_overlap, iterative_cooling
+from .cooling import CoolingReport, _check_cooling_parameters, gi_overlap, iterative_cooling
 from .dynamics import (
     NoiseSpec,
     TrotterConfig,
@@ -84,12 +82,7 @@ class RunConfig:
     def __post_init__(self):
         if self.noise not in _NOISE_FLAGS:
             raise ValueError(f"noise must be one of {sorted(_NOISE_FLAGS)}")
-        if not math.isfinite(self.tol) or self.tol <= 0:
-            raise ValueError("tol must be a finite positive number")
-        if not isinstance(self.max_sweeps, numbers.Integral):
-            raise ValueError("max_sweeps must be an integer")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
+        _check_cooling_parameters(self.tol, self.max_sweeps)
 
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(_NOISE_FLAGS[self.noise], self.rate)

@@ -272,16 +272,22 @@ def gi_overlap(rho: np.ndarray) -> float:
     return sum(_sector_weights(rho, v)[0, 0] for v in range(N_VERTICES)) / N_VERTICES
 
 
-def iterative_cooling(
-    rho: np.ndarray, tol: float = 1e-5, max_sweeps: int = 10
-) -> tuple[np.ndarray, CoolingReport]:
-    """Sweep until the GI overlap exceeds 1 - tol or max_sweeps is reached."""
+def _check_cooling_parameters(tol: float, max_sweeps: int) -> None:
+    """Reject a tol that is not finite and positive, or a max_sweeps that is
+    not an integer of at least 1."""
     if not math.isfinite(tol) or tol <= 0:
         raise ValueError("tol must be a finite positive number")
     if not isinstance(max_sweeps, numbers.Integral):
         raise ValueError("max_sweeps must be an integer")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
+
+
+def iterative_cooling(
+    rho: np.ndarray, tol: float = 1e-5, max_sweeps: int = 10
+) -> tuple[np.ndarray, CoolingReport]:
+    """Sweep until the GI overlap exceeds 1 - tol or max_sweeps is reached."""
+    _check_cooling_parameters(tol, max_sweeps)
     overlaps = [gi_overlap(rho)]
     sweeps = 0
     if overlaps[-1] <= 1.0 - tol:

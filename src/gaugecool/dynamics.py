@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hamiltonian import electric_hamiltonian, magnetic_hamiltonian
+from .hamiltonian import _check_g2, electric_hamiltonian, magnetic_hamiltonian
 from .lattice import EDGE_DIM, N_EDGES, TOTAL_DIM, _check_edge, local_view
 
 __all__ = [
@@ -67,8 +67,7 @@ class TrotterConfig:
     n_steps: int = 30
 
     def __post_init__(self):
-        if not math.isfinite(self.g2) or self.g2 <= 0:
-            raise ValueError("g2 must be a finite positive number")
+        _check_g2(self.g2)
         if not isinstance(self.n_steps, numbers.Integral):
             raise ValueError("n_steps must be an integer")
         if self.n_steps < 1:

@@ -38,10 +38,15 @@ __all__ = [
 ]
 
 
-def electric_edge_term(g2: float = 1.0) -> np.ndarray:
-    """Single-edge electric energy (g^2/2) j(j+1), diagonal 5x5."""
+def _check_g2(g2: float) -> None:
+    """Reject a coupling g2 that is not finite and positive."""
     if not math.isfinite(g2) or g2 <= 0:
         raise ValueError("g2 must be a finite positive number")
+
+
+def electric_edge_term(g2: float = 1.0) -> np.ndarray:
+    """Single-edge electric energy (g^2/2) j(j+1), diagonal 5x5."""
+    _check_g2(g2)
     jj = np.array([tj / 2 * (tj / 2 + 1) for tj, _, _ in edge_basis(1)])
     return np.diag(g2 / 2 * jj).astype(complex)
 
@@ -105,8 +110,7 @@ def magnetic_plaquette_matrix() -> np.ndarray:
 
 def magnetic_hamiltonian(g2: float = 1.0) -> np.ndarray:
     """H_B = -(P + P^dagger) / (2 g^2), Hermitian and real in this basis."""
-    if not math.isfinite(g2) or g2 <= 0:
-        raise ValueError("g2 must be a finite positive number")
+    _check_g2(g2)
     p = magnetic_plaquette_matrix()
     return -(p + p.conj().T) / (2.0 * g2)
 

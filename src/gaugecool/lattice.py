@@ -22,11 +22,14 @@ the incoming edge, giving gauge generators
 and the unitary gauge action U(g) = conj(pi_j(g)) on m(e_out) times
 pi_j(g) on n(e_in).  Vertex operators are written once on a vertex's two
 edges (25 dimensions) and ``lift_pair`` makes them dense 625-dim operators.
+The vertex Clebsch-Gordan basis on those two edges is a closed-form table
+of exact irreducible chains, one entry per pair of edge spins.
 ``local_view`` owns the density-matrix layout (kets e0..e3, then bras).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import groupby
@@ -83,7 +86,7 @@ def vertex_edges(v: int) -> tuple[int, int]:
 
 
 def _check_edge(e: int) -> None:
-    if e not in range(N_EDGES):
+    if not isinstance(e, numbers.Integral) or e not in range(N_EDGES):
         raise ValueError("edge index out of range")
 
 
@@ -229,61 +232,31 @@ def _pair_action(g: np.ndarray) -> np.ndarray:
 #   (1/2, 1/2):               4 blocks of 4,         J=0+1
 #
 # and, times the 25 spectator states, multiplicities mu_0 = 125,
-# mu_{1/2} = 100, mu_1 = 100 (125+200+300=625).  Within each block the basis
-# is found by simultaneously diagonalizing the Casimir and G_z of the pair
-# generators restricted to it, fixing the lowest-weight phase
-# (largest-magnitude component real positive, lowest index on ties) and
-# climbing with the normalized raising operator.  Every resulting vector has
-# definite spectator quantum numbers by construction: it is a vector on the
-# vertex's two edges (``pair_cg_basis``) times a product state of the other two.
+# mu_{1/2} = 100, mu_1 = 100 (125+200+300=625).  All blocks of one sector
+# carry the same action, so each sector's irreducible chains are written down
+# once below: 00 is the singlet, h0 is the conjugate spin 1/2 on m_out (its
+# lowest weight is m_out = +), 0h is spin 1/2 on n_in, and hh is 2bar (x) 2 =
+# 0 + 1.  Every resulting vector has definite spectator quantum numbers by
+# construction: it is a vector on the vertex's two edges (``pair_cg_basis``)
+# times a product state of the other two.
 
-_SECTORS = ("00", "h0", "0h", "hh")  # (j_out, j_in) names, in column order within a J
+_R = 1 / np.sqrt(2)
 
-
-def _irrep_chains(gx, gy, gz, tol: float = 1e-8):
-    """Decompose a small space into (2J, [chain of M-ascending vectors]).
-
-    Diagonalizes the Casimir, clusters eigenvalues to J(J+1), resolves each
-    cluster with G_z, fixes lowest-weight phases, and rebuilds higher M by
-    the normalized raising operator.
-    """
-    dim = gx.shape[0]
-    cas = gx @ gx + gy @ gy + gz @ gz
-    evals, evecs = np.linalg.eigh(cas)
-    chains = []
-    used = np.zeros(dim, dtype=bool)
-    for tj in range(0, 2 * dim + 1):
-        j = tj / 2.0
-        cluster = ~used & (np.abs(evals - j * (j + 1)) < tol)
-        n_cluster = int(np.sum(cluster))
-        if n_cluster == 0:
-            continue
-        if n_cluster % (tj + 1) != 0:
-            raise ArithmeticError(
-                f"Casimir cluster of size {n_cluster} does not fill spin-{j} irreps"
-            )
-        used |= cluster
-        sub = evecs[:, cluster]
-        gz_sub = sub.conj().T @ gz @ sub
-        mvals, mvecs = np.linalg.eigh(gz_sub)
-        n_copies = n_cluster // (tj + 1)
-        low = sub @ mvecs[:, np.abs(mvals + j) < tol]
-        if low.shape[1] != n_copies:
-            raise ArithmeticError("lowest-weight count does not match multiplicity")
-        gp = gx + 1j * gy
-        for k in range(n_copies):
-            vec = low[:, k]
-            mags = np.abs(vec)
-            top = np.nonzero(mags > mags.max() - 1e-9)[0][0]
-            vec = vec * (np.conj(vec[top]) / abs(vec[top]))
-            chain = [vec]
-            for tm in range(-tj, tj, 2):
-                m = tm / 2.0
-                chain.append(gp @ chain[-1] / np.sqrt(j * (j + 1) - m * (m + 1.0)))
-            chains.append((tj, chain))
-    if np.sum([len(c) for _, c in chains]) != dim:
-        raise ArithmeticError("irreducible chains do not span the space")
-    return chains
+# sector -> ((2J, chain), ...).  A chain's rows are the block's pair indices
+# ascending (for hh: (m_out, n_in) = --, -+, +-, ++) and its columns are M
+# ascending.  Phases: the lowest weight's first largest-magnitude component
+# is real positive, and each higher M is G_+ / sqrt(J(J+1) - M(M+1)) applied
+# to the one below.
+_CHAINS = {
+    "00": ((0, ((1,),)),),
+    "h0": ((1, ((0, -1), (1, 0))),),
+    "0h": ((1, ((1, 0), (0, 1))),),
+    "hh": (
+        (0, ((_R,), (0,), (0,), (_R,))),
+        (2, ((0, -_R, 0), (0, 0, -1), (1, 0, 0), (0, _R, 0))),
+    ),
+}
+_SECTORS = tuple(_CHAINS)  # (j_out, j_in) names, in column order within a J
 
 
 @dataclass(frozen=True)
@@ -304,13 +277,12 @@ class CGEntry:
 
 class VertexCGBasis:
     """Orthonormal basis {|J, M, alpha>} of the 625-dim space at one vertex,
-    or of the 25-dim edge pair of a vertex (``vertex`` is None).  ``entries``
-    and ``mu`` are read-only.  The pair basis is cached and shared between
-    callers, so its ``basis`` array is read-only too; ``build_cg_basis``
-    builds a fresh 625-dim basis on each call."""
+    or of the 25-dim edge pair of a vertex.  ``entries`` and ``mu`` are
+    read-only.  The pair basis is cached and shared between callers, so its
+    ``basis`` array is read-only too; ``build_cg_basis`` builds a fresh
+    625-dim basis on each call."""
 
-    def __init__(self, vertex: int | None, entries: list[CGEntry], basis: np.ndarray):
-        self.vertex = vertex
+    def __init__(self, entries: list[CGEntry], basis: np.ndarray):
         self.entries = tuple(entries)
         self.basis = basis  # column k is entries[k]'s vector
         mu: dict[int, int] = {}
@@ -334,11 +306,12 @@ def pair_cg_basis() -> VertexCGBasis:
     """The vertex basis on the two edges the gauge action touches.
 
     Columns are the 25 vectors |J, M, (sector, n_out, m_in)> over the pair
-    index 5 * i_out + i_in, ordered as in ``build_cg_basis``.  Every vertex
+    index 5 * i_out + i_in, ordered as in ``build_cg_basis``: each of the
+    nine blocks of pair states that share (sector, n_out, m_in) holds its
+    sector's chains from the closed-form table ``_CHAINS``.  Every vertex
     has the same pair basis; its 625-dim basis is this one times each product
     state of the two spectator edges.
     """
-    gens = _pair_generators()
     blocks: dict[tuple, list[int]] = {}  # alpha -> pair indices, ascending
     for p in range(EDGE_DIM**2):
         (tj_out, _, tn_out), (tj_in, tm_in, _) = (_EDGE_BASIS[i] for i in divmod(p, EDGE_DIM))
@@ -346,22 +319,21 @@ def pair_cg_basis() -> VertexCGBasis:
         n_out = (tn_out + 1) // 2 if tj_out else -1
         m_in = (tm_in + 1) // 2 if tj_in else -1
         blocks.setdefault((sector, n_out, m_in), []).append(p)
-    records = []  # (twice_J, alpha, pair indices, chain)
-    for alpha, idx in blocks.items():
-        block = np.ix_(idx, idx)
-        for tj, chain in _irrep_chains(*(g[block] for g in gens)):
-            records.append((tj, alpha, idx, chain))
+    records = [  # (twice_J, alpha, pair indices, chain)
+        (tj, alpha, idx, chain)
+        for alpha, idx in blocks.items()
+        for tj, chain in _CHAINS[alpha[0]]
+    ]
     records.sort(key=lambda r: (r[0], _SECTORS.index(r[1][0]), r[1][1:]))
     entries: list[CGEntry] = []
     basis = np.zeros((EDGE_DIM**2, EDGE_DIM**2), dtype=complex)
     for tj, alpha, idx, chain in records:
-        for k, vec in enumerate(chain):
-            col = len(entries)
-            basis[idx, col] = vec
-            entries.append(CGEntry(tj, -tj + 2 * k, alpha, col))
+        col = len(entries)
+        basis[idx, col:col + tj + 1] = chain
+        entries += [CGEntry(tj, -tj + 2 * k, alpha, col + k) for k in range(tj + 1)]
     assert len(entries) == EDGE_DIM**2
     basis.setflags(write=False)
-    return VertexCGBasis(None, entries, basis)
+    return VertexCGBasis(entries, basis)
 
 
 def build_cg_basis(v: int) -> VertexCGBasis:
@@ -385,7 +357,7 @@ def build_cg_basis(v: int) -> VertexCGBasis:
         for col, (e, r) in enumerate(order)
     ]
     basis = lift_pair(pair.basis, v)[:, [layout[e.column, r] for e, r in order]]
-    return VertexCGBasis(v, entries, basis)
+    return VertexCGBasis(entries, basis)
 
 
 def singlet_projector(v: int) -> np.ndarray:

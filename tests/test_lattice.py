@@ -13,6 +13,7 @@ from gaugecool.dynamics import (
 from gaugecool.hamiltonian import magnetic_plaquette_matrix
 from gaugecool.lattice import (
     EDGE_ENDPOINTS,
+    _pair_generators,
     TOTAL_DIM,
     build_cg_basis,
     edge_basis,
@@ -32,6 +33,7 @@ from gaugecool.lattice import (
     vertex_edges,
 )
 from gaugecool.cooling import (
+    _pair_superoperator,
     cool_vertex,
     recovery_kraus,
     syndrome_operator,
@@ -166,7 +168,7 @@ _EDGE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("e", [4, -1, 1.5])
+@pytest.mark.parametrize("e", [4, -1, 1.5, 2.0])
 @pytest.mark.parametrize("name", sorted(_EDGE_CALLS))
 def test_edge_out_of_range_is_value_error(name, e):
     with pytest.raises(ValueError, match="edge index out of range"):
@@ -335,6 +337,30 @@ def test_cg_basis_is_pair_basis_times_spectator_states():
             spectators[5 * e.alpha[3] + e.alpha[4]] = 1.0
             vec = pair.basis[:, pair_column[e.twice_J, e.twice_M, e.alpha[:3]]]
             assert np.array_equal(lifted[:, :, e.column], np.outer(vec, spectators))
+
+
+def test_pair_cg_basis_chains_and_phases():
+    pair = pair_cg_basis()
+    b = pair.basis
+    gx, gy, gz = _pair_generators()
+    jj = np.array([e.twice_J / 2 * (e.twice_J / 2 + 1) for e in pair.entries])
+    mm = np.array([e.twice_M / 2 for e in pair.entries])
+    assert np.max(np.abs((gx @ gx + gy @ gy + gz @ gz) @ b - b * jj)) <= 1e-15
+    assert np.max(np.abs(gz @ b - b * mm)) <= 1e-15
+    assert np.max(np.abs(b.conj().T @ b - np.eye(25))) <= 1e-15
+    by_key = {(e.twice_J, e.twice_M, e.alpha): e.column for e in pair.entries}
+    for e in pair.entries:
+        vec = b[:, e.column]
+        if e.twice_M == -e.twice_J:
+            top = vec[np.argmax(np.abs(vec))]
+            assert top.imag == 0 and top.real > 0
+        if e.twice_M < e.twice_J:
+            j, m = e.twice_J / 2, e.twice_M / 2
+            up = b[:, by_key[e.twice_J, e.twice_M + 2, e.alpha]]
+            lhs = (gx + 1j * gy) @ vec / np.sqrt(j * (j + 1) - m * (m + 1))
+            assert np.max(np.abs(lhs - up)) <= 1e-15
+    # an exact basis keeps the recovery superoperator on 81 rows and 113 columns
+    assert _pair_superoperator()[2].shape == (81, 113)
 
 
 def test_cg_basis_singlets_first():
