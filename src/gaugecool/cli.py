@@ -221,7 +221,7 @@ def _suite_hamiltonian(seed: int) -> list[tuple[str, float, float]]:
 def _load_design(design_file: str | None):
     if design_file is None:
         return binary_octahedral_design()
-    return read_design(design_file, claimed_t=3)
+    return read_design(design_file)
 
 
 def _suite_tdesign(design_file: str | None) -> list[tuple[str, float, float]]:

@@ -9,19 +9,20 @@ detect which component the state occupies; the recovery Kraus operators
 
     K_{J,N} = sum_alpha |0,0,sigma(alpha)><J,N,alpha|
 
-pump everything back into the local singlet sector.  The pairing sigma keeps
-every spectator quantum number it can:
+pump everything back into the local singlet sector.  The pairing sigma
+(``_paired_singlet_alpha``) keeps the spectator indices (r1, r2) always, and
+every other index it can:
 
-- J=1 triplets (both vertex edges at j=1/2) map onto the singlet built from
-  the same two edges with identical spectator indices;
-- J=1/2 states with only the outgoing edge excited keep (n_out, r1, r2) and
-  enter the two-edge singlet with m_in := n_out;
-- J=1/2 states with only the incoming edge excited keep (m_in, r1, r2) and
-  enter the two-edge singlet with n_out := 1 - m_in.
+- J=1 triplets (both vertex edges at j=1/2, sector "hh") map onto the
+  singlet built from the same two edges with the same passive labels;
+- J=1/2 states with only the outgoing edge excited ("h0") keep n_out and
+  enter the two-edge singlet ("hh", n_out, 0);
+- J=1/2 states with only the incoming edge excited ("0h") and m_in = 1
+  enter ("hh", 0, 1); those with m_in = 0 enter the all-j=0 singlet.
 
-The two J=1/2 branches land on disjoint singlet labels (diagonal vs.
-off-diagonal (n_out, m_in) pairs), so sigma is injective across the full
-multiplicity and the channel is trace preserving.
+The four J=1/2 source blocks land on four distinct singlet blocks, so sigma
+is injective across the full multiplicity and the channel is trace
+preserving.
 
 Every operator here acts only on the vertex's two edges: K_{J,N} is a
 25x25 pair operator k_{J,N} times the identity on the two spectator edges,
@@ -80,6 +81,8 @@ class Syndrome:
 
     @classmethod
     def of(cls, j, m, n) -> "Syndrome":
+        for x, name in ((j, "j"), (m, "m"), (n, "n")):
+            _twice(x, name)  # rejects a non-finite value before Fraction does
         return cls(Fraction(j), Fraction(m), Fraction(n))
 
 

@@ -55,9 +55,6 @@ __all__ = [
     "hygiene",
 ]
 
-_NOISE_KINDS = ("depolarizing", "amplitude_damping")
-
-
 @dataclass(frozen=True)
 class TrotterConfig:
     """Evolution parameters: coupling, total time, step count."""
@@ -88,8 +85,8 @@ class NoiseSpec:
     rate: float
 
     def __post_init__(self):
-        if self.kind not in _NOISE_KINDS:
-            raise ValueError(f"noise kind must be one of {_NOISE_KINDS}")
+        if self.kind not in _CHANNELS:
+            raise ValueError(f"noise kind must be one of {tuple(_CHANNELS)}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError("noise rate must lie in [0, 1]")
 
@@ -205,8 +202,6 @@ def _edge_channel(rho: np.ndarray, edge: int, rate: float, form) -> np.ndarray:
     if not 0.0 <= rate <= 1.0:
         raise ValueError("noise rate must lie in [0, 1]")
     r8 = local_view(rho, (edge,))
-    if rate == 0.0:
-        return rho.copy()
     scale, pool, targets, weight = form(rate)
     out = np.empty((TOTAL_DIM, TOTAL_DIM), dtype=np.result_type(rho, scale))
     o8 = local_view(out, (edge,))
@@ -249,11 +244,12 @@ def amplitude_damping_channel(rho: np.ndarray, edge: int, gamma: float) -> np.nd
     return _edge_channel(rho, edge, gamma, _damping_form)
 
 
+_CHANNELS = {"depolarizing": depolarizing_channel, "amplitude_damping": amplitude_damping_channel}
+
+
 def apply_noise_all_edges(rho: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     """Apply the noise channel to edges e0, e1, e2, e3 in order."""
-    channel = (
-        depolarizing_channel if spec.kind == "depolarizing" else amplitude_damping_channel
-    )
+    channel = _CHANNELS[spec.kind]
     for e in range(N_EDGES):
         rho = channel(rho, e, spec.rate)
     return rho

@@ -18,6 +18,7 @@ All functions are pure; cached arrays are returned read-only.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -139,7 +140,7 @@ def cg_isometry(twice_j1: int, twice_j2: int, twice_J: int) -> np.ndarray:
 
 def _twice(x, name: str) -> int:
     tx = 2.0 * x
-    if abs(tx - round(tx)) > 1e-9:
+    if not math.isfinite(tx) or abs(tx - round(tx)) > 1e-9:
         raise ValueError(f"{name} = {x} is not a half-integer")
     return int(round(tx))
 

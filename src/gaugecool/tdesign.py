@@ -114,6 +114,7 @@ def required_design_strength(k: int, k_out: int, j_max) -> int:
         raise ValueError("k must be at least 1")
     if not 0 <= k_out <= k:
         raise ValueError("k_out must lie between 0 and k")
+    _twice(j_max, "j_max")  # rejects a non-finite value before Fraction does
     jm = Fraction(j_max)
     if jm <= 0 or (2 * jm).denominator != 1:
         raise ValueError("j_max must be a positive half-integer")
@@ -150,12 +151,12 @@ def binary_octahedral_design() -> DesignSet:
     return DesignSet(tuple(_su2_from_quaternion(*q) for q in quads), claimed_t=3)
 
 
-def read_design(path, claimed_t: int = 3) -> DesignSet:
+def read_design(path) -> DesignSet:
     """Parse a design file: one element per line as four reals ``a b c d``.
 
     The quadruple encodes the matrix [[a+ib, c+id], [-c+id, a-ib]] and must
     have unit length within 1e-9.  Blank lines and lines starting with '#'
-    are ignored.
+    are ignored.  The set claims t=3, what a plaquette vertex needs.
     """
     elements = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -174,7 +175,7 @@ def read_design(path, claimed_t: int = 3) -> DesignSet:
         elements.append(_su2_from_quaternion(a, b, c, d))
     if not elements:
         raise ValueError("design file contains no elements")
-    return DesignSet(tuple(elements), claimed_t=claimed_t)
+    return DesignSet(tuple(elements), claimed_t=3)
 
 
 def tdesign_deviations(d: DesignSet, t: int) -> dict:
@@ -232,47 +233,34 @@ def qft_kernel_check(d: DesignSet, j_cut) -> float:
     """Entrywise gap between W^dag W and the character-sum kernel.
 
     <g_i| W^dag W |g_k> = sum_j ((2j+1)/n_t) chi_j(g_i g_k^-1) holds for any
-    element set whatsoever; the right side is recomputed here from group
-    products and representation characters.
+    element set whatsoever.  The right side is read from the 2x2 elements
+    alone and shares no code with ``wigner_d`` or the Fourier rows: with
+    x = tr(g_i g_k^dag), chi_0 = 1, chi_1/2 = x and the Clebsch-Gordan
+    recurrence chi_(j+1/2) = x chi_j - chi_(j-1/2).
     """
     q = truncated_qft(d, j_cut)
-    n = d.size
     lhs = q.w.conj().T @ q.w
-    rhs = np.zeros((n, n), dtype=complex)
+    g = np.stack(d.elements)
+    x = np.einsum("iab,kab->ik", g, g.conj())
+    rhs, prev, chi = 0.0, 0.0, 1.0
     for tj in range(int(2 * q.j_cut) + 1):
-        chars = np.empty((n, n), dtype=complex)
-        for i, gi in enumerate(d.elements):
-            for k, gk in enumerate(d.elements):
-                chars[i, k] = np.trace(wigner_d(tj, gi @ gk.conj().T))
-        rhs += (tj + 1.0) / n * chars
+        rhs += (tj + 1.0) / q.n_t * chi
+        prev, chi = chi, x * chi - prev
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def embed_unitary(q: TruncatedQFT) -> np.ndarray:
     """Extend the isometry rows of ``q`` to a full n_t x n_t unitary.
 
-    The first d_out rows equal W exactly; the remaining rows are the
-    normalized Gram-Schmidt residuals of the standard basis vectors taken in
-    index order, so repeated calls give a bit-identical completion.
+    The first d_out rows equal W exactly; the remaining rows are W's right
+    singular vectors past its rank, an orthonormal basis of the complement
+    of its rows, so repeated calls give a bit-identical completion.
     """
     w = q.w
     gap = np.max(np.abs(w @ w.conj().T - np.eye(q.d_out)))
     if gap > 1e-9:
         raise ValueError(f"rows are not orthonormal (largest gap {gap:.3e})")
-    rows = [w[a] for a in range(q.d_out)]
-    for k in range(q.n_t):
-        if len(rows) == q.n_t:
-            break
-        r = np.zeros(q.n_t, dtype=complex)
-        r[k] = 1.0
-        for _ in range(2):  # second pass keeps the residual orthogonal in float
-            mat = np.array(rows)
-            r = r - mat.T @ (mat.conj() @ r)
-        norm = np.linalg.norm(r)
-        if norm > 1e-8:
-            rows.append(r / norm)
-    assert len(rows) == q.n_t
-    u = np.array(rows)
+    u = np.vstack((w, np.linalg.svd(w)[2][q.d_out:]))
     u.setflags(write=False)
     return u
 

@@ -5,6 +5,7 @@ import pytest
 from sympy import Rational, S
 from sympy.physics.quantum.cg import CG
 
+from gaugecool.cooling import Syndrome
 from gaugecool.su2 import (
     cg_isometry,
     clebsch_gordan,
@@ -15,6 +16,11 @@ from gaugecool.su2 import (
     spherical_pauli,
     spin_matrices,
     wigner_d,
+)
+from gaugecool.tdesign import (
+    binary_octahedral_design,
+    required_design_strength,
+    truncated_qft,
 )
 
 
@@ -99,6 +105,22 @@ def test_cg_input_errors():
         clebsch_gordan(0.5, 1.5, 0.5, -0.5, 1, 1)
     with pytest.raises(ValueError):
         clebsch_gordan(1, 0.5, 1, -0.5, 2, 0)  # m parity inconsistent with j
+
+
+@pytest.mark.parametrize("x", [float("inf"), float("nan")])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: clebsch_gordan(x, 0, 0.5, 0.5, 0.5, 0.5),
+        lambda x: Syndrome.of(x, 0, 0),
+        lambda x: truncated_qft(binary_octahedral_design(), x),
+        lambda x: required_design_strength(2, 1, x),
+    ],
+    ids=["clebsch_gordan", "Syndrome.of", "truncated_qft", "required_design_strength"],
+)
+def test_non_finite_spin_label_is_not_a_half_integer(call, x):
+    with pytest.raises(ValueError, match="not a half-integer"):
+        call(x)
 
 
 def test_cg_selection_rules():

@@ -178,6 +178,8 @@ def test_kernel_identity_holds_for_any_element_set():
     assert qft_kernel_check(binary_octahedral_design(), 1) < 1e-12
     # not a design at all, yet the identity is algebraic
     assert qft_kernel_check(haar_random_set(n=20, seed=3), 1) < 1e-12
+    # j_cut = 2 reaches chi_3/2 and chi_2 of the recurrence; 55 rows need 55 elements
+    assert qft_kernel_check(haar_random_set(n=60, seed=3), 2) < 1e-12
 
 
 def test_kernel_diagonal_value():
