@@ -39,7 +39,6 @@ tested against them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -47,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import EDGE_DIM, N_VERTICES, lift_pair, local_view, pair_cg_basis, vertex_edges
-from .su2 import _twice
+from .su2 import _check_count, _twice
 
 __all__ = [
     "Syndrome",
@@ -65,14 +64,16 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class Syndrome:
-    """Measurement outcome (J, M, N) at a vertex, stored as half-integers."""
+    """Measurement outcome (J, M, N) at a vertex, stored as exact half-integer Fractions."""
 
     j: Fraction
     m: Fraction
     n: Fraction
 
     def __post_init__(self):
-        tj, tm, tn = (_twice(x, s) for x, s in ((self.j, "j"), (self.m, "m"), (self.n, "n")))
+        tj, tm, tn = (_twice(getattr(self, s), s) for s in ("j", "m", "n"))
+        for s, t in (("j", tj), ("m", tm), ("n", tn)):
+            object.__setattr__(self, s, Fraction(t, 2))  # exact, so labels compare and hash
         if tj < 0:
             raise ValueError("J must be nonnegative")
         for t, name in ((tm, "M"), (tn, "N")):
@@ -81,9 +82,7 @@ class Syndrome:
 
     @classmethod
     def of(cls, j, m, n) -> "Syndrome":
-        for x, name in ((j, "j"), (m, "m"), (n, "n")):
-            _twice(x, name)  # rejects a non-finite value before Fraction does
-        return cls(Fraction(j), Fraction(m), Fraction(n))
+        return cls(j, m, n)
 
 
 @dataclass
@@ -105,32 +104,36 @@ class CoolingReport:
 
 def syndrome_operator(v: int, j, m, n) -> np.ndarray:
     """T^(J)_{MN}: maps the (J,N) component to (J,M) with weight 1/sqrt(2J+1)."""
-    return lift_pair(_pair_syndrome_operator(Syndrome.of(j, m, n)), v)
+    syn = Syndrome(j, m, n)
+    return lift_pair(_pair_syndrome_operator(int(2 * syn.j), int(2 * syn.m), int(2 * syn.n)), v)
 
 
-def _pair_syndrome_operator(syn: Syndrome) -> np.ndarray:
-    """The 25x25 pair operator that ``syndrome_operator`` lifts to a vertex."""
-    tj = _twice(syn.j, "j")
+def _pair_syndrome_operator(tj: int, tm: int, tn: int) -> np.ndarray:
+    """The 25x25 pair operator that ``syndrome_operator`` lifts to a vertex,
+    at the labels (2J, 2M, 2N)."""
     basis = pair_cg_basis()
     if tj not in basis.mu:
-        raise ValueError(f"no J={syn.j} component at this vertex")
-    cols_m, alphas_m = basis.columns(tj, _twice(syn.m, "m"))
-    cols_n, alphas_n = basis.columns(tj, _twice(syn.n, "n"))
+        raise ValueError(f"no J={Fraction(tj, 2)} component at this vertex")
+    (cols_m, alphas_m), (cols_n, alphas_n) = basis.columns[tj, tm], basis.columns[tj, tn]
     assert alphas_m == alphas_n
-    bm = basis.basis[:, cols_m]
-    bn = basis.basis[:, cols_n]
-    return (bm @ bn.T) / np.sqrt(tj + 1.0)
+    return (basis.basis[:, cols_m] @ basis.basis[:, cols_n].T) / np.sqrt(tj + 1.0)
+
+
+@lru_cache(maxsize=1)
+def _outcomes() -> tuple[tuple[Syndrome, int, int], ...]:
+    """(Syndrome(J, M, N), 2J, 2N) for every outcome at a vertex, in Syndrome
+    order: the (2J, 2M) column keys, J then M ascending, times N ascending."""
+    keys = pair_cg_basis().columns
+    return tuple(
+        (Syndrome(tj / 2, tm / 2, tn / 2), tj, tn)
+        for tj, tm in keys for tj_n, tn in keys if tj_n == tj
+    )
 
 
 def syndrome_probabilities(rho: np.ndarray, v: int) -> dict[Syndrome, float]:
     """p(J,M,N) = tr(P_N^J rho)/(2J+1) for every outcome at vertex v."""
     weights = _sector_weights(rho, v)
-    probs: dict[Syndrome, float] = {}
-    for tj, tn in weights:
-        for tm in range(-tj, tj + 1, 2):
-            key = Syndrome(Fraction(tj, 2), Fraction(tm, 2), Fraction(tn, 2))
-            probs[key] = weights[tj, tn] / (tj + 1)
-    return dict(sorted(probs.items()))
+    return {syn: weights[tj, tn] / (tj + 1) for syn, tj, tn in _outcomes()}
 
 
 def _paired_singlet_alpha(alpha: tuple) -> tuple:
@@ -163,17 +166,16 @@ def _pair_kraus() -> tuple[tuple[tuple[Fraction, Fraction], np.ndarray], ...]:
     """((J, N), k_{J,N}) for every (J,N), J then N ascending: the 25x25 pair
     Kraus operators k_{J,N} = sum_alpha |0,0,sigma(alpha)><J,N,alpha|."""
     basis = pair_cg_basis()
-    singlet_index = {e.alpha: e.column for e in basis.entries if e.twice_J == 0}
+    singlet_cols, singlet_alphas = basis.columns[0, 0]
+    singlet_index = dict(zip(singlet_alphas, singlet_cols))
     kraus = []
-    for tj in sorted(basis.mu):
-        for tn in range(-tj, tj + 1, 2):
-            cols, alphas = basis.columns(tj, tn)
-            target_cols = [singlet_index[_paired_singlet_alpha(a)] for a in alphas]
-            if len(set(target_cols)) != len(target_cols):
-                raise AssertionError("spectator pairing is not injective")
-            k = basis.basis[:, target_cols] @ basis.basis[:, cols].T
-            k.setflags(write=False)
-            kraus.append(((Fraction(tj, 2), Fraction(tn, 2)), k))
+    for (tj, tn), (cols, alphas) in basis.columns.items():
+        target_cols = [singlet_index[_paired_singlet_alpha(a)] for a in alphas]
+        if len(set(target_cols)) != len(target_cols):
+            raise AssertionError("spectator pairing is not injective")
+        k = basis.basis[:, target_cols] @ basis.basis[:, cols].T
+        k.setflags(write=False)
+        kraus.append(((Fraction(tj, 2), Fraction(tn, 2)), k))
     return tuple(kraus)
 
 
@@ -199,13 +201,10 @@ def _pair_projectors() -> dict[tuple[int, int], np.ndarray]:
     """25x25 pair projector onto each (2J, 2N) component, J then N ascending."""
     basis = pair_cg_basis()
     projectors = {}
-    for tj in sorted(basis.mu):
-        for tn in range(-tj, tj + 1, 2):
-            cols, _ = basis.columns(tj, tn)
-            b = basis.basis[:, cols]
-            p = b @ b.conj().T
-            p.setflags(write=False)
-            projectors[tj, tn] = p
+    for key, (cols, _) in basis.columns.items():
+        b = basis.basis[:, cols]
+        projectors[key] = b @ b.conj().T
+        projectors[key].setflags(write=False)
     return projectors
 
 
@@ -280,10 +279,7 @@ def _check_cooling_parameters(tol: float, max_sweeps: int) -> None:
     not an integer of at least 1."""
     if not math.isfinite(tol) or tol <= 0:
         raise ValueError("tol must be a finite positive number")
-    if not isinstance(max_sweeps, numbers.Integral):
-        raise ValueError("max_sweeps must be an integer")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be at least 1")
+    _check_count(max_sweeps, "max_sweeps")
 
 
 def iterative_cooling(

@@ -31,14 +31,14 @@ trace preserving and completely positive.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .hamiltonian import _check_g2, electric_hamiltonian, magnetic_hamiltonian
+from .hamiltonian import _check_g2, electric_edge_term, magnetic_hamiltonian
 from .lattice import EDGE_DIM, N_EDGES, TOTAL_DIM, _check_edge, local_view
+from .su2 import _check_count
 
 __all__ = [
     "TrotterConfig",
@@ -65,10 +65,7 @@ class TrotterConfig:
 
     def __post_init__(self):
         _check_g2(self.g2)
-        if not isinstance(self.n_steps, numbers.Integral):
-            raise ValueError("n_steps must be an integer")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
+        _check_count(self.n_steps, "n_steps")
         if not math.isfinite(self.total_time) or self.total_time <= 0:
             raise ValueError("total_time must be a finite positive number")
 
@@ -144,7 +141,9 @@ def _trotter_factors(g2: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.n
     for idx in _blocks_by_size(_components(len(hb), *np.nonzero(hb))):
         ix = idx[:, :, None], idx[:, None, :]
         block[ix] = herm_expm(hb[ix], dt)
-    phases = np.exp(-1j * dt * np.diag(electric_hamiltonian(g2)).real)
+    # H_E's diagonal, read off the edge term: the four edges' energies summed, e0 slowest
+    energies = reduce(np.add.outer, [np.diag(electric_edge_term(g2)).real] * N_EDGES).ravel()
+    phases = np.exp(-1j * dt * energies)
     block *= phases[moved, None]
     for a in (moved, block, phases):
         a.setflags(write=False)

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import EDGE_DIM, N_EDGES, edge_basis, embed_edge_operator
-from .su2 import clebsch_gordan, haar_batch
+from .su2 import _check_count, clebsch_gordan, haar_batch
 
 __all__ = [
     "electric_edge_term",
@@ -129,8 +129,7 @@ def haar_mc_oracle(n_samples: int, rng: np.random.Generator) -> np.ndarray:
     Samples are drawn in fixed-size chunks from the caller's RNG, so a given
     (seed, n_samples) pair is reproducible.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    _check_count(n_samples, "n_samples")
     total = np.zeros((EDGE_DIM**4, EDGE_DIM**4), dtype=complex)
     done = 0
     while done < n_samples:

@@ -21,6 +21,7 @@ syndrome-conditioned recovery can and cannot undo:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -267,8 +268,9 @@ def residual_pauli_weights(reference_edge: int = 0, m_target: int = 0) -> Residu
     recovers with the pseudoinverse of the reference edge's map, and reports
     each edge's residual as normalized I/X/Y/Z weights.
     """
-    if reference_edge not in range(N_VERTEX_EDGES):
-        raise ValueError(f"reference_edge must be 0..{N_VERTEX_EDGES - 1}")
+    n = N_VERTEX_EDGES
+    if not isinstance(reference_edge, numbers.Integral) or reference_edge not in range(n):
+        raise ValueError(f"reference_edge must be 0..{n - 1}")
     if m_target not in (-1, 0, 1):
         raise ValueError("m_target must be -1, 0, or +1")
     error: str | int = "Z" if m_target == 0 else m_target

@@ -33,6 +33,7 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import groupby
+from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -146,19 +147,11 @@ def embed_edge_operator(op: np.ndarray, edge: int) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def _edge_m_operator(a: np.ndarray, j0_value: float) -> np.ndarray:
-    """5x5 edge operator acting as `a` on the m index of the j=1/2 block."""
+def _edge_operator(j0_value: float, m_op=np.eye(2), n_op=np.eye(2)) -> np.ndarray:
+    """5x5 edge operator: j0_value on j=0, m_op (x) n_op on the (m, n) indices of j=1/2."""
     out = np.zeros((EDGE_DIM, EDGE_DIM), dtype=complex)
     out[0, 0] = j0_value
-    out[1:, 1:] = np.kron(a, np.eye(2))
-    return out
-
-
-def _edge_n_operator(b: np.ndarray, j0_value: float) -> np.ndarray:
-    """5x5 edge operator acting as `b` on the n index of the j=1/2 block."""
-    out = np.zeros((EDGE_DIM, EDGE_DIM), dtype=complex)
-    out[0, 0] = j0_value
-    out[1:, 1:] = np.kron(np.eye(2), b)
+    out[1:, 1:] = np.kron(m_op, n_op)
     return out
 
 
@@ -185,7 +178,7 @@ def _pair_generators() -> np.ndarray:
     """G_x, G_y, G_z on a vertex's edge pair: -J_a^T on m(e_out) plus J_a on n(e_in)."""
     eye = np.eye(EDGE_DIM)
     gens = np.stack([
-        np.kron(_edge_m_operator(-a.T, 0.0), eye) + np.kron(eye, _edge_n_operator(a, 0.0))
+        np.kron(_edge_operator(0.0, m_op=-a.T), eye) + np.kron(eye, _edge_operator(0.0, n_op=a))
         for a in spin_matrices(1)
     ])
     gens.setflags(write=False)
@@ -213,7 +206,7 @@ def _pair_action(g: np.ndarray) -> np.ndarray:
     """The 25x25 pair operator that ``gauge_action`` lifts to a vertex:
     conj(D(g)) on m of the outgoing edge, D(g) on n of the incoming edge."""
     d = wigner_d(1, np.asarray(g, dtype=complex))
-    return np.kron(_edge_m_operator(np.conj(d), 1.0), _edge_n_operator(d, 1.0))
+    return np.kron(_edge_operator(1.0, m_op=np.conj(d)), _edge_operator(1.0, n_op=d))
 
 
 # ---------------------------------------------------------------------------
@@ -277,31 +270,25 @@ class CGEntry:
 
 class VertexCGBasis:
     """Orthonormal basis {|J, M, alpha>} of the 625-dim space at one vertex,
-    or of the 25-dim edge pair of a vertex.  ``entries`` and ``mu`` are
-    read-only.  The pair basis is cached and shared between callers, so its
-    ``basis`` array is read-only too; ``build_cg_basis`` builds a fresh
-    625-dim basis on each call."""
+    or of the 25-dim edge pair of a vertex.  ``columns`` maps each (2J, 2M),
+    J then M ascending, to the (column indices, alphas) of its entries in
+    entry order; ``mu`` maps 2J to its multiplicity.  ``entries``, ``columns``
+    and ``mu`` are read-only.  The pair basis is cached and shared between
+    callers, so its ``basis`` array is read-only too; ``build_cg_basis``
+    builds a fresh 625-dim basis on each call."""
 
     def __init__(self, entries: list[CGEntry], basis: np.ndarray):
         self.entries = tuple(entries)
         self.basis = basis  # column k is entries[k]'s vector
-        mu: dict[int, int] = {}
-        for e in entries:
-            if e.twice_M == -e.twice_J:
-                mu[e.twice_J] = mu.get(e.twice_J, 0) + 1
-        self.mu = MappingProxyType(mu)
-
-    def columns(self, twice_J: int, twice_M: int):
-        """(column indices, alphas) of sector (J, M), in fixed alpha order."""
-        pairs = [
-            (e.column, e.alpha)
-            for e in self.entries
-            if e.twice_J == twice_J and e.twice_M == twice_M
-        ]
-        return [c for c, _ in pairs], [a for _, a in pairs]
+        label = attrgetter("twice_J", "twice_M")
+        self.columns = MappingProxyType({
+            key: tuple(zip(*((e.column, e.alpha) for e in group)))
+            for key, group in groupby(sorted(self.entries, key=label), key=label)
+        })
+        self.mu = MappingProxyType({tj: len(c) for (tj, _), (c, _) in self.columns.items()})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def pair_cg_basis() -> VertexCGBasis:
     """The vertex basis on the two edges the gauge action touches.
 
@@ -363,7 +350,7 @@ def build_cg_basis(v: int) -> VertexCGBasis:
 def singlet_projector(v: int) -> np.ndarray:
     """Orthogonal projector onto the J=0 (gauge-invariant) sector at v."""
     pair = pair_cg_basis()
-    s = pair.basis[:, pair.columns(0, 0)[0]]
+    s = pair.basis[:, pair.columns[0, 0][0]]
     return lift_pair(s @ s.conj().T, v)
 
 

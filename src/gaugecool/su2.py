@@ -19,6 +19,7 @@ All functions are pure; cached arrays are returned read-only.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -43,7 +44,7 @@ def m_values(twice_j: int) -> np.ndarray:
     return (np.arange(twice_j + 1) * 2.0 - twice_j) / 2.0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _spin_matrices(twice_j: int):
     d = twice_j + 1
     j = twice_j / 2.0
@@ -78,7 +79,7 @@ def coupled_spins(twice_j1: int, twice_j2: int):
     return tuple(range(abs(twice_j1 - twice_j2), twice_j1 + twice_j2 + 1, 2))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _cg_blocks(twice_j1: int, twice_j2: int):
     """Clebsch-Gordan isometries for j1 (x) j2, keyed by 2J.
 
@@ -143,6 +144,14 @@ def _twice(x, name: str) -> int:
     if not math.isfinite(tx) or abs(tx - round(tx)) > 1e-9:
         raise ValueError(f"{name} = {x} is not a half-integer")
     return int(round(tx))
+
+
+def _check_count(x, name: str) -> None:
+    """Reject an x that is not an integer of at least 1."""
+    if not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+    if x < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:

@@ -24,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cooling import Syndrome, _pair_syndrome_operator
+from .cooling import _pair_syndrome_operator
 from .lattice import _pair_action, edge_basis, pair_cg_basis, vertex_edges
-from .su2 import _twice, wigner_d
+from .su2 import _check_count, _twice, wigner_d
 
 __all__ = [
     "DesignSet",
@@ -66,8 +66,7 @@ class DesignSet:
     claimed_t: int
 
     def __post_init__(self):
-        if self.claimed_t < 1:
-            raise ValueError("claimed_t must be at least 1")
+        _check_count(self.claimed_t, "claimed_t")
         if len(self.elements) == 0:
             raise ValueError("a design set needs at least one element")
         checked = tuple(
@@ -187,8 +186,7 @@ def tdesign_deviations(d: DesignSet, t: int) -> dict:
     the returned map sends (j1, j2) to the largest deviation, so a failing
     strength is localized to the bidegree that breaks it.
     """
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    _check_count(t, "t")
     n = d.size
     reps = {
         tj: np.stack([wigner_d(tj, g) for g in d.elements]) for tj in range(t + 1)
@@ -289,8 +287,6 @@ def discrete_syndrome_check(d: DesignSet, v: int) -> float:
         disc = math.sqrt(tj + 1.0) / n * np.einsum("iab,ipq->abpq", rep.conj(), u)
         for a in range(tj + 1):
             for b in range(tj + 1):
-                cont = _pair_syndrome_operator(
-                    Syndrome(Fraction(tj, 2), Fraction(2 * a - tj, 2), Fraction(2 * b - tj, 2))
-                )
+                cont = _pair_syndrome_operator(tj, 2 * a - tj, 2 * b - tj)
                 worst = max(worst, float(np.max(np.abs(disc[a, b] - cont))))
     return worst

@@ -57,11 +57,21 @@ def test_syndrome_labels_validated():
         Syndrome.of(1, Fraction(1, 2), 0)  # parity mismatch with J
 
 
+def test_near_half_integer_syndrome_label_is_exact():
+    # a label within _twice's tolerance of a half-integer is stored exactly
+    exact = Syndrome.of(Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
+    for near in (Syndrome.of(0.5 + 1e-10, 0.5, -0.5), Syndrome(0.5 + 1e-10, 0.5, -0.5)):
+        assert near == exact and hash(near) == hash(exact)
+        assert (near.j, near.m, near.n) == (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
+    rho = np.outer(vacuum_state(), vacuum_state().conj())
+    assert syndrome_probabilities(rho, 0)[Syndrome.of(0.5 + 1e-10, 0.5, -0.5)] == 0.0
+
+
 def test_syndrome_operator_identity_on_singlets():
     for v in range(4):
         t = syndrome_operator(v, 0, 0, 0)
         basis = build_cg_basis(v)
-        cols, _ = basis.columns(0, 0)
+        cols, _ = basis.columns[0, 0]
         s = basis.basis[:, cols]
         assert np.max(np.abs(t @ s - s)) < 1e-12
 
@@ -73,7 +83,7 @@ def test_syndrome_operator_partial_isometry_weight():
         for tm in range(-tj, tj + 1, 2):
             for tn in range(-tj, tj + 1, 2):
                 t = syndrome_operator(1, j, Fraction(tm, 2), Fraction(tn, 2))
-                cols, _ = basis.columns(tj, tn)
+                cols, _ = basis.columns[tj, tn]
                 bn = basis.basis[:, cols]
                 p_n = bn @ bn.T.conj()
                 assert np.max(np.abs(t.conj().T @ t - p_n / (tj + 1.0))) < 1e-10
@@ -84,10 +94,10 @@ def test_syndrome_operator_annihilates_other_sectors():
     basis = build_cg_basis(2)
     for tj in (0, 2):
         for tn in range(-tj, tj + 1, 2):
-            cols, _ = basis.columns(tj, tn)
+            cols, _ = basis.columns[tj, tn]
             assert np.max(np.abs(t @ basis.basis[:, cols])) < 1e-10
     # and the right N within J = 1/2: only N = -1/2 survives
-    cols, _ = basis.columns(1, 1)
+    cols, _ = basis.columns[1, 1]
     assert np.max(np.abs(t @ basis.basis[:, cols])) < 1e-10
 
 
@@ -156,14 +166,14 @@ def test_recovery_kraus_fixes_singlets_and_maps_isometrically():
     for v in (0, 2):
         ch = recovery_kraus(v)
         basis = build_cg_basis(v)
-        sing_cols, _ = basis.columns(0, 0)
+        sing_cols, _ = basis.columns[0, 0]
         s = basis.basis[:, sing_cols]
         p0 = singlet_projector(v)
         for (j, n), k in zip(ch.labels, ch.operators):
             if (j, n) == (Fraction(0), Fraction(0)):
                 assert np.max(np.abs(k @ s - s)) < 1e-10
                 continue
-            cols, _ = basis.columns(int(2 * j), int(2 * n))
+            cols, _ = basis.columns[int(2 * j), int(2 * n)]
             b = basis.basis[:, cols]
             image = k @ b
             # isometric on its source block, landing inside the singlet sector
@@ -210,7 +220,7 @@ def test_local_kernels_match_dense_oracles(seed, rank):
         assert np.max(np.abs(cool_vertex(rho, v) - dense)) <= 1e-12
         basis = build_cg_basis(v)
         for syn, p in syndrome_probabilities(rho, v).items():
-            cols, _ = basis.columns(int(2 * syn.j), int(2 * syn.n))
+            cols, _ = basis.columns[int(2 * syn.j), int(2 * syn.n)]
             bn = basis.basis[:, cols]
             weight = np.real(np.sum(bn.conj() * (rho @ bn))) / (2 * syn.j + 1)
             assert abs(p - weight) <= 1e-12

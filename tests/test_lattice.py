@@ -10,7 +10,7 @@ from gaugecool.dynamics import (
     depolarizing_channel,
     trotter_unitary,
 )
-from gaugecool.hamiltonian import magnetic_plaquette_matrix
+from gaugecool.hamiltonian import haar_mc_oracle, magnetic_plaquette_matrix
 from gaugecool.lattice import (
     EDGE_ENDPOINTS,
     _pair_generators,
@@ -39,8 +39,14 @@ from gaugecool.cooling import (
     syndrome_operator,
     syndrome_probabilities,
 )
-from gaugecool.su2 import _cg_blocks, haar_sample, pauli_matrices
-from gaugecool.tdesign import binary_octahedral_design, discrete_syndrome_check
+from gaugecool.klaudit import residual_pauli_weights
+from gaugecool.su2 import _cg_blocks, _spin_matrices, haar_sample, pauli_matrices
+from gaugecool.tdesign import (
+    DesignSet,
+    binary_octahedral_design,
+    discrete_syndrome_check,
+    tdesign_deviations,
+)
 
 
 def unitary_from_generator(v, axis, theta):
@@ -175,6 +181,25 @@ def test_edge_out_of_range_is_value_error(name, e):
         _EDGE_CALLS[name](e)
 
 
+_OCTAHEDRAL = binary_octahedral_design().elements
+_COUNT_CALLS = {
+    "DesignSet_claimed_t_nan": lambda: DesignSet(_OCTAHEDRAL, claimed_t=float("nan")),
+    "DesignSet_claimed_t_inf": lambda: DesignSet(_OCTAHEDRAL, claimed_t=float("inf")),
+    "DesignSet_claimed_t_2.5": lambda: DesignSet(_OCTAHEDRAL, claimed_t=2.5),
+    "tdesign_deviations_2.5": lambda: tdesign_deviations(binary_octahedral_design(), 2.5),
+    "haar_mc_oracle_nan": lambda: haar_mc_oracle(float("nan"), np.random.default_rng(0)),
+    "haar_mc_oracle_2.5": lambda: haar_mc_oracle(2.5, np.random.default_rng(0)),
+    "residual_pauli_weights_2.0": lambda: residual_pauli_weights(reference_edge=2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNT_CALLS))
+def test_non_integer_count_is_value_error(name):
+    # integer parameters reject a float (even an integral one) before any use
+    with pytest.raises(ValueError, match="must be an integer|must be 0"):
+        _COUNT_CALLS[name]()
+
+
 @pytest.mark.parametrize(
     "get, size, mu",
     [
@@ -187,7 +212,19 @@ def test_cached_bases_are_read_only(get, size, mu):
         get().entries.append(get().entries[0])
     with pytest.raises(TypeError):
         get().mu[0] = 1
+    with pytest.raises(TypeError):
+        get().columns[0, 0] = ((), ())
     assert len(get().entries) == size and get().mu == mu
+    assert list(get().columns) == [(0, 0), (1, -1), (1, 1), (2, -2), (2, 0), (2, 2)]
+
+
+def test_spin_keyed_caches_are_bounded():
+    for cache, key in ((_spin_matrices, lambda k: (k,)), (_cg_blocks, lambda k: (k, 1))):
+        bound = cache.cache_info().maxsize
+        assert bound is not None
+        for k in range(bound + 2):
+            cache(*key(k))
+        assert cache.cache_info().currsize <= bound
 
 
 def test_cached_cg_blocks_are_read_only():
@@ -366,7 +403,7 @@ def test_pair_cg_basis_chains_and_phases():
 def test_cg_basis_singlets_first():
     cg = build_cg_basis(0)
     assert all(e.twice_J == 0 for e in cg.entries[:125])
-    assert cg.columns(0, 0)[0] == list(range(125))
+    assert cg.columns[0, 0][0] == tuple(range(125))
 
 
 def test_gauge_action_block_structure():
