@@ -34,6 +34,15 @@ weights, traces of 25x25 pair projectors against the reduced pair state.
 The dense 625-dim references (``recovery_kraus`` and ``syndrome_operator``)
 are these pair operators lifted by ``lattice.lift_pair``; the kernels are
 tested against them.
+
+One sweep leaves any rho on a fixed set of 31 basis states, and every later
+vertex stage stays inside a union of 45 (``_support_maps`` derives both by
+pushing the k's nonzero pattern through a sweep).  ``iterative_cooling``
+therefore runs sweep 0 with the dense kernel, checks that rho is finite and
+exactly zero off the 31 states, and then runs the later sweeps and their
+overlap reads on the 45x45 block with the same pair superoperator, through
+flat index maps; the block goes back into rho once, at the end.  If the
+check fails, every sweep stays dense.  Both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -42,10 +51,21 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import EDGE_DIM, N_VERTICES, lift_pair, local_view, pair_cg_basis, vertex_edges
+from .lattice import (
+    EDGE_DIM,
+    N_EDGES,
+    N_VERTICES,
+    TOTAL_DIM,
+    lift_pair,
+    local_view,
+    pair_cg_basis,
+    pair_edges,
+    vertex_edges,
+)
 from .su2 import _check_count, _twice
 
 __all__ = [
@@ -185,12 +205,18 @@ def _pair_superoperator() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     It acts on the 625 (pair ket, pair bra) index pairs; only the 81 rows
     and 113 columns holding its 387 nonzeros are kept, as one dense block.
+    Every k writes only onto the pair rows of the singlets, so the sum is
+    formed on the (ket, bra) pairs of those rows alone: the 625x625 sum
+    left up to three 6.25 MB temporaries for the heap to keep.
     """
-    sup = sum(np.kron(k, k.conj()) for _, k in _pair_kraus())
+    kraus = [k for _, k in _pair_kraus()]
+    written = np.flatnonzero(np.any([k != 0 for k in kraus], axis=(0, 2)))
+    sup = sum(np.kron(k[written], k[written].conj()) for k in kraus)
     nonzero = sup != 0
-    rows = np.flatnonzero(nonzero.any(axis=1))
+    keep = np.flatnonzero(nonzero.any(axis=1))
+    rows = (written[:, None] * EDGE_DIM**2 + written).ravel()[keep]
     cols = np.flatnonzero(nonzero.any(axis=0))
-    block = sup[np.ix_(rows, cols)]
+    block = sup[np.ix_(keep, cols)]
     for a in (rows, cols, block):
         a.setflags(write=False)
     return rows, cols, block
@@ -274,6 +300,136 @@ def gi_overlap(rho: np.ndarray) -> float:
     return sum(_sector_weights(rho, v)[0, 0] for v in range(N_VERTICES)) / N_VERTICES
 
 
+class _SupportMaps(NamedTuple):
+    """Where one sweep leaves rho, and the flat index maps that cool it there."""
+
+    settled: np.ndarray  # the states rho can hold after any full sweep
+    states: np.ndarray  # the states any later vertex stage can hold
+    stages: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # per vertex
+    overlap: tuple[tuple[np.ndarray, np.ndarray], ...]  # per vertex
+
+
+@lru_cache(maxsize=1)
+def _support_maps() -> _SupportMaps:
+    """Derive the support of a swept rho from the pair Kraus operators.
+
+    Each of the 625 states is a (pair index, spectator index) coordinate at
+    every vertex (``lattice.pair_edges`` order).  The channel at v sends a
+    ket onto the pair rows that some k_{J,N} reaches from it, spectators
+    kept, so pushing the union of the k's nonzero patterns through one sweep
+    from all 625 states gives every state a swept rho can hold, ``settled``;
+    one more sweep maps it onto itself, and ``states`` is the union of that
+    sweep's stages.
+
+    rho restricted to ``states`` lives in a flat (n+1) x (n+1) buffer whose
+    last row and column stay zero and stand for every state outside.  Per
+    vertex, ``stages`` holds the buffer positions of the
+    ``_pair_superoperator`` columns over the spectators the stage's input
+    holds, then which of its output rows land inside, and where.
+    ``overlap`` holds, per vertex, the buffer positions and pair-matrix
+    slots that the reduced pair state sums, in the dense read's order.
+    """
+    pattern = np.zeros((EDGE_DIM**2, EDGE_DIM**2), dtype=bool)
+    for _, k in _pair_kraus():
+        pattern |= k != 0
+    grid = np.arange(TOTAL_DIM).reshape((EDGE_DIM,) * N_EDGES)
+    # at[v][p, s]: the state with pair index p and spectator index s at v
+    at = [grid.transpose(pair_edges(v)).reshape(EDGE_DIM**2, -1) for v in range(N_VERTICES)]
+
+    def cool(held: np.ndarray, v: int) -> np.ndarray:
+        out = np.zeros(TOTAL_DIM, dtype=bool)
+        out[at[v]] = pattern @ held[at[v]]
+        return out
+
+    held = np.ones(TOTAL_DIM, dtype=bool)
+    for v in range(N_VERTICES):
+        held = cool(held, v)
+    settled, inputs = np.flatnonzero(held), []
+    for v in range(N_VERTICES):
+        inputs.append(held)
+        held = cool(held, v)
+    if not np.array_equal(np.flatnonzero(held), settled):
+        raise AssertionError("a sweep does not map the swept support onto itself")
+    states = np.flatnonzero(np.any(inputs, axis=0))
+    n = len(states)
+    where = np.full(TOTAL_DIM, n)  # buffer row of each state, n outside
+    where[states] = np.arange(n)
+
+    def locate(pairs: np.ndarray, v: int, spectators: np.ndarray):
+        """Buffer positions of (pair ket, pair bra) x (spectator ket,
+        spectator bra), and which of them lie inside."""
+        (ket_pair, bra_pair), s = np.divmod(pairs, EDGE_DIM**2), spectators
+        ket = where[at[v][ket_pair[:, None, None], s[:, None]]]
+        bra = where[at[v][bra_pair[:, None, None], s]]
+        shape = (len(pairs), -1)
+        return (ket * (n + 1) + bra).reshape(shape), ((ket < n) & (bra < n)).reshape(shape)
+
+    rows, cols, block = _pair_superoperator()
+    to_row, from_col = np.nonzero(block)
+    stages = []
+    for v, held_in in enumerate(inputs):
+        spectators = np.flatnonzero(held_in[at[v]].any(axis=0))
+        gather, read = locate(cols, v, spectators)
+        target, inside = locate(rows, v, spectators)
+        if np.any(read[from_col] & ~inside[to_row]):
+            raise AssertionError("the recovery writes outside the support")
+        keep = np.flatnonzero(inside)
+        stages.append((gather, keep, target.ravel()[keep]))
+
+    overlap = []
+    for v in range(N_VERTICES):
+        # each state's (pair, spectator) at v; at[v] is a permutation
+        pair, spectator = (c[states] for c in np.divmod(np.argsort(at[v], axis=None), EDGE_DIM**2))
+        # states ascending: each slot adds its terms spectator by spectator,
+        # in the order the dense read sums them
+        i, j = np.nonzero(spectator[:, None] == spectator)
+        overlap.append((i * (n + 1) + j, pair[i] * EDGE_DIM**2 + pair[j]))
+    maps = _SupportMaps(settled, states, tuple(stages), tuple(overlap))
+    for a in (settled, states, *(a for maps_v in (*maps.stages, *maps.overlap) for a in maps_v)):
+        a.setflags(write=False)
+    return maps
+
+
+def _settled_block(rho: np.ndarray) -> np.ndarray | None:
+    """Move a settled rho into the support buffer: its settled block is cut
+    out of rho (left zero) into the flat (n+1)^2 buffer, which is returned.
+
+    Returns None, rho untouched, unless every entry outside that block is
+    exactly zero and every entry inside is finite."""
+    maps = _support_maps()
+    at = np.ix_(maps.settled, maps.settled)
+    block = rho[at]
+    rho[at] = 0
+    if rho.any() or not np.isfinite(block).all():
+        rho[at] = block
+        return None
+    n = len(maps.states)
+    small = np.zeros((n + 1, n + 1), dtype=complex)
+    inside = np.searchsorted(maps.states, maps.settled)
+    small[np.ix_(inside, inside)] = block
+    return small.ravel()
+
+
+def _cool_block(small: np.ndarray, v: int) -> None:
+    """``_cool_into`` at vertex v on rho held in the support buffer."""
+    gather, keep, target = _support_maps().stages[v]
+    cooled = _pair_superoperator()[2] @ small.take(gather)
+    small[:] = 0
+    small.put(target, cooled.take(keep))
+
+
+def _block_overlap(small: np.ndarray) -> float:
+    """``gi_overlap`` of rho held in the support buffer: each reduced pair
+    state summed in the order the dense read sums it."""
+    projector = _pair_projectors()[0, 0]
+    total = 0
+    for read, slot in _support_maps().overlap:
+        pair = np.zeros(EDGE_DIM**4, dtype=complex)
+        np.add.at(pair, slot, small.take(read))
+        total += float(np.real(np.einsum("ij,ji->", projector, pair.reshape(EDGE_DIM**2, -1))))
+    return total / N_VERTICES
+
+
 def _check_cooling_parameters(tol: float, max_sweeps: int) -> None:
     """Reject a tol that is not finite and positive, or a max_sweeps that is
     not an integer of at least 1."""
@@ -285,19 +441,33 @@ def _check_cooling_parameters(tol: float, max_sweeps: int) -> None:
 def iterative_cooling(
     rho: np.ndarray, tol: float = 1e-5, max_sweeps: int = 10
 ) -> tuple[np.ndarray, CoolingReport]:
-    """Sweep until the GI overlap exceeds 1 - tol or max_sweeps is reached."""
+    """Sweep until the GI overlap exceeds 1 - tol or max_sweeps is reached.
+
+    Sweep 0 is dense; once it has run, rho is checked exactly against the
+    support one sweep proves, and the later sweeps run on that block."""
     _check_cooling_parameters(tol, max_sweeps)
     overlaps = [gi_overlap(rho)]
-    sweeps = 0
+    sweeps, small = 0, None
     if overlaps[-1] <= 1.0 - tol:
         # one working copy that every sweep cools in place: a fresh 6.25 MB
         # array per vertex costs a page fault per 4 kB page it touches
         rho = np.array(rho, dtype=complex, order="C")
     while overlaps[-1] <= 1.0 - tol and sweeps < max_sweeps:
-        for v in range(N_VERTICES):
-            _cool_into(rho, rho, v)
+        if sweeps == 1:
+            small = _settled_block(rho)
+        if small is None:
+            for v in range(N_VERTICES):
+                _cool_into(rho, rho, v)
+            overlaps.append(gi_overlap(rho))
+        else:
+            for v in range(N_VERTICES):
+                _cool_block(small, v)
+            overlaps.append(_block_overlap(small))
         sweeps += 1
-        overlaps.append(gi_overlap(rho))
+    if small is not None:
+        states = _support_maps().states
+        n = len(states)
+        rho[np.ix_(states, states)] = small.reshape(n + 1, n + 1)[:n, :n]
     report = CoolingReport(
         overlaps=overlaps,
         sweeps_used=sweeps,

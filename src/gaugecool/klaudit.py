@@ -140,7 +140,7 @@ def _error_matrix(error) -> np.ndarray:
 
 def edge_operator(error, edge: int) -> np.ndarray:
     """The 16x16 action at the vertex of an operator on one incident edge."""
-    if edge not in range(N_VERTEX_EDGES):
+    if not isinstance(edge, numbers.Integral) or edge not in range(N_VERTEX_EDGES):
         raise ValueError(f"edge must be 0..{N_VERTEX_EDGES - 1}, got {edge}")
     op = _error_matrix(error)
     eye = np.eye(2, dtype=complex)
@@ -213,7 +213,7 @@ def multiplicity_map(error, edge: int, m_target: int | None = None) -> Multiplic
         if len(allowed) > 1:
             raise ValueError(f"{key} straddles M = -1 and +1; pass m_target")
         m_target = allowed[0]
-    if m_target not in allowed:
+    if not isinstance(m_target, numbers.Integral) or m_target not in allowed:
         raise ValueError(f"a {key} error cannot reach M = {m_target} from a singlet")
     a = _raw_map(key, edge, m_target) / _reduced_matrix_element()
     a.setflags(write=False)
@@ -271,7 +271,7 @@ def residual_pauli_weights(reference_edge: int = 0, m_target: int = 0) -> Residu
     n = N_VERTEX_EDGES
     if not isinstance(reference_edge, numbers.Integral) or reference_edge not in range(n):
         raise ValueError(f"reference_edge must be 0..{n - 1}")
-    if m_target not in (-1, 0, 1):
+    if not isinstance(m_target, numbers.Integral) or m_target not in (-1, 0, 1):
         raise ValueError("m_target must be -1, 0, or +1")
     error: str | int = "Z" if m_target == 0 else m_target
     maps = [multiplicity_map(error, k, m_target) for k in range(N_VERTEX_EDGES)]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -109,9 +110,9 @@ def required_design_strength(k: int, k_out: int, j_max) -> int:
     J reaches k*j_max, contributing alongside the outgoing edges to the
     antiholomorphic degree, while incoming edges set the holomorphic one.
     """
-    if k < 1:
+    if not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError("k must be at least 1")
-    if not 0 <= k_out <= k:
+    if not isinstance(k_out, numbers.Integral) or not 0 <= k_out <= k:
         raise ValueError("k_out must lie between 0 and k")
     _twice(j_max, "j_max")  # rejects a non-finite value before Fraction does
     jm = Fraction(j_max)

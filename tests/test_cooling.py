@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaugecool import cooling
 from gaugecool.cooling import (
     CoolingReport,
+    _pair_kraus,
     _pair_superoperator,
+    _settled_block,
+    _support_maps,
     Syndrome,
     cool_vertex,
     cooling_sweep,
@@ -233,6 +237,7 @@ def test_pair_superoperator_is_cptp():
     n = 25
     sup = np.zeros((n * n, n * n), dtype=complex)
     sup[np.ix_(rows, cols)] = block
+    assert np.array_equal(sup, sum(np.kron(k, k.conj()) for _, k in _pair_kraus()))  # the 625x625 sum
     # trace preserving: sum_a S[(a,a),(c,d)] = delta_cd
     traced = sup.reshape(n, n, n * n)[np.arange(n), np.arange(n)].sum(axis=0)
     assert np.max(np.abs(traced - np.eye(n).ravel())) < 1e-14
@@ -335,6 +340,129 @@ def test_iterative_cooling_equals_repeated_sweeps():
     assert report.sweeps_used == 3
     assert np.array_equal(out, want)
     assert np.array_equal(rho, before)
+
+
+def cooled_run_inputs(kind, steps=3):
+    """The states a cooled rate-0.01 run hands to iterative_cooling."""
+    vac = vacuum_state()
+    rho = np.outer(vac, vac.conj())
+    cfg = TrotterConfig(g2=1.0, total_time=0.1 * steps, n_steps=steps)
+    states = []
+    for _ in range(steps):
+        rho = apply_noise_all_edges(trotter_step(rho, cfg), NoiseSpec(kind, 0.01))
+        states.append(rho)
+        rho, _ = iterative_cooling(rho)
+    return states
+
+
+@pytest.fixture
+def block_stages(monkeypatch):
+    """The vertices cooled on the support buffer, in call order."""
+    calls = []
+    kernel = cooling._cool_block
+    monkeypatch.setattr(cooling, "_cool_block", lambda small, v: calls.append(v) or kernel(small, v))
+    return calls
+
+
+def assert_matches_dense_sweeps(rho, **kwargs) -> CoolingReport:
+    """iterative_cooling gives the bits of repeated cooling_sweep calls, and
+    its overlaps those of gi_overlap after each."""
+    out, report = iterative_cooling(rho, **kwargs)
+    want, overlaps = rho, [gi_overlap(rho)]
+    for _ in range(report.sweeps_used):
+        want = cooling_sweep(want)
+        overlaps.append(gi_overlap(want))
+    assert np.array_equal(out, want)
+    assert np.max(np.abs(np.subtract(report.overlaps, overlaps))) <= 1e-15
+    return report
+
+
+def test_one_sweep_settles_any_input_on_31_states():
+    """Push the dense Kraus operators' nonzero patterns through three sweeps
+    from all 625 states: no cancellation is assumed, so this bounds the
+    support of a swept rho whatever the input."""
+    reach = [np.any([k != 0 for k in recovery_kraus(v).operators], axis=0) for v in range(4)]
+    held = np.ones(TOTAL_DIM, dtype=bool)
+    stages = []
+    for _ in range(3):
+        for v in range(4):
+            held = reach[v] @ held
+            stages.append(held)
+    assert [int(h.sum()) for h in stages] == [225, 115, 60, 31] + [31] * 8
+    assert all(np.array_equal(a, b) for a, b in zip(stages[4:8], stages[8:]))
+    assert np.array_equal(stages[7], stages[3])
+    maps = _support_maps()
+    assert np.array_equal(maps.settled, np.flatnonzero(stages[3]))
+    assert np.array_equal(maps.states, np.flatnonzero(np.any(stages[3:], axis=0)))
+    assert len(maps.states) == 45
+
+
+@pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
+def test_cooling_on_the_support_keeps_the_dense_bits_on_cooled_runs(kind, block_stages):
+    for rho in cooled_run_inputs(kind):
+        block_stages.clear()
+        report = assert_matches_dense_sweeps(rho)
+        assert report.sweeps_used > 1
+        assert block_stages == [0, 1, 2, 3] * (report.sweeps_used - 1)
+
+
+@pytest.mark.parametrize("rank", [1, 8, TOTAL_DIM])
+def test_cooling_on_the_support_keeps_the_dense_bits_on_random_states(rank, block_stages):
+    rho = random_density(np.random.default_rng(rank), rank=rank)
+    report = assert_matches_dense_sweeps(rho)
+    assert report.sweeps_used == 10
+    assert len(block_stages) == 4 * 9
+
+
+def test_one_sweep_cooling_never_enters_the_support(block_stages):
+    report = assert_matches_dense_sweeps(protocol_state(), max_sweeps=1)
+    assert report.sweeps_used == 1 and not block_stages
+
+
+def test_cooling_that_converges_after_one_sweep_never_enters_the_support(block_stages):
+    rho = protocol_state()
+    deficits = [1.0 - gi_overlap(rho), 1.0 - gi_overlap(cooling_sweep(rho))]
+    report = assert_matches_dense_sweeps(rho, tol=sum(deficits) / 2)
+    assert report.sweeps_used == 1 and report.converged and not block_stages
+
+
+def test_gauge_invariant_input_comes_back_unchanged(block_stages):
+    vac = vacuum_state()
+    rho = np.outer(vac, vac.conj())
+    out, report = iterative_cooling(rho)
+    assert report.sweeps_used == 0 and report.converged and not block_stages
+    assert np.array_equal(out, rho)
+
+
+@pytest.mark.parametrize("layout", [np.asfortranarray, np.real, lambda r: np.asfortranarray(r.real)])
+def test_cooling_on_the_support_takes_any_layout_and_dtype(layout, block_stages):
+    rho = layout(protocol_state())
+    before = rho.copy()
+    report = assert_matches_dense_sweeps(rho, max_sweeps=3)
+    assert report.sweeps_used == 3 and len(block_stages) == 8
+    assert np.array_equal(rho, before)
+
+
+def test_settled_block_needs_exact_zeros_off_the_settled_states():
+    rho = cooling_sweep(protocol_state())
+    off = np.setdiff1d(np.arange(TOTAL_DIM), _support_maps().settled)[0]
+    inside = _support_maps().settled[0]
+    for at, value in (((off, off), 1e-300), ((inside, off), 1e-300), ((inside, inside), np.nan)):
+        bad = rho.copy()
+        bad[at] = value
+        assert _settled_block(bad) is None
+        assert np.array_equal(bad[at], value, equal_nan=True)
+        bad[at] = rho[at]
+        assert np.array_equal(bad, rho)
+    cut = rho.copy()
+    small = _settled_block(cut)
+    assert small is not None and not cut.any()
+    states = _support_maps().states
+    n = len(states)
+    block = small.reshape(n + 1, n + 1)
+    assert not block[n].any() and not block[:, n].any()
+    cut[np.ix_(states, states)] = block[:n, :n]
+    assert np.array_equal(cut, rho)
 
 
 def test_iterative_cooling_validation():

@@ -259,6 +259,24 @@ def test_residual_inputs_validated():
         residual_pauli_weights(m_target=2)
 
 
+@pytest.mark.parametrize("m_target", [1.0, 0.0, -1.0])
+def test_residual_weights_reject_a_float_m_target(m_target):
+    with pytest.raises(ValueError, match="m_target must be -1, 0, or"):
+        residual_pauli_weights(m_target=m_target)
+
+
+@pytest.mark.parametrize("edge", [2.0, 0.0])
+def test_edge_operator_rejects_a_float_edge(edge):
+    with pytest.raises(ValueError, match="edge must be 0..3"):
+        edge_operator("X", edge)
+
+
+@pytest.mark.parametrize("error,m_target", [("Z", 0.0), ("X", 1.0), (-1, -1.0)])
+def test_multiplicity_map_rejects_a_float_m_target(error, m_target):
+    with pytest.raises(ValueError, match="cannot reach M"):
+        multiplicity_map(error, 0, m_target)
+
+
 def test_residual_table_row_validation():
     with pytest.raises(ValueError):
         ResidualTable(0, 0, (("Z_0", 0.5, 0.0, 0.0, 0.0),))

@@ -35,6 +35,7 @@ from gaugecool.lattice import (
 from gaugecool.cooling import (
     _pair_superoperator,
     cool_vertex,
+    iterative_cooling,
     recovery_kraus,
     syndrome_operator,
     syndrome_probabilities,
@@ -252,7 +253,10 @@ def test_gauge_casimir_is_the_sum_of_squared_generators():
 
 
 def test_dense_operator_builders_retain_no_dense_array():
-    """No cache keeps a dense 625x625 operator once its caller drops it."""
+    """No cache keeps a dense 625x625 operator once its caller drops it, and
+    cooling on the support one sweep proves keeps only its small index maps."""
+    vac = vacuum_state()
+    noisy = depolarizing_channel(np.outer(vac, vac.conj()), 0, 0.05)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -266,12 +270,14 @@ def test_dense_operator_builders_retain_no_dense_array():
             gauge_casimir(v)
             singlet_projector(v)
             build_cg_basis(v)
+        report = iterative_cooling(noisy, max_sweeps=3)[1]
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         if started:
             tracemalloc.stop()
     assert retained < TOTAL_DIM**2 * np.dtype(complex).itemsize
+    assert report.sweeps_used == 3
 
 
 def test_gauge_generators_annihilate_vacuum():

@@ -151,6 +151,17 @@ def test_required_strength_reference_points():
         required_design_strength(2, 1, 0.3)
 
 
+@pytest.mark.parametrize("k,k_out,message", [
+    (2.5, 1, "k must be at least 1"),
+    (2.0, 1, "k must be at least 1"),
+    (2, 1.0, "k_out must lie between 0 and k"),
+    (2, 0.5, "k_out must lie between 0 and k"),
+])
+def test_required_strength_rejects_float_counts(k, k_out, message):
+    with pytest.raises(ValueError, match=message):
+        required_design_strength(k, k_out, Fraction(1, 2))
+
+
 def test_truncated_qft_shape_and_labels():
     d = binary_octahedral_design()
     q = truncated_qft(d, Fraction(1, 2))
