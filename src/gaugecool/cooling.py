@@ -38,16 +38,15 @@ tested against them.
 One sweep leaves any rho on a fixed set of 31 basis states, and every later
 vertex stage stays inside a union of 45 (``_support_maps`` derives both by
 pushing the k's nonzero pattern through a sweep).  ``iterative_cooling``
-therefore runs sweep 0 with the dense kernel, checks that rho is finite and
-exactly zero off the 31 states, and then runs the later sweeps and their
-overlap reads on the 45x45 block with the same pair superoperator, through
-flat index maps; the block goes back into rho once, at the end.  If the
-check fails, every sweep stays dense.  Both paths give the same bits.
+therefore refuses a rho whose overlap is not finite, runs sweep 0 with the
+dense kernel, cuts the 31-state block out of rho, and runs every later sweep
+and every overlap read after sweep 0 on the 45x45 block with the same pair
+superoperator, through flat index maps; the block goes back into rho once,
+at the end.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -66,7 +65,7 @@ from .lattice import (
     pair_edges,
     vertex_edges,
 )
-from .su2 import _check_count, _twice
+from .su2 import _check_count, _check_positive, _twice
 
 __all__ = [
     "Syndrome",
@@ -99,10 +98,6 @@ class Syndrome:
         for t, name in ((tm, "M"), (tn, "N")):
             if abs(t) > tj or (t - tj) % 2:
                 raise ValueError(f"{name} must lie in {{-J, ..., J}}")
-
-    @classmethod
-    def of(cls, j, m, n) -> "Syndrome":
-        return cls(j, m, n)
 
 
 @dataclass
@@ -252,12 +247,6 @@ class KrausChannel:
     labels: tuple[tuple[Fraction, Fraction], ...]
     operators: tuple[np.ndarray, ...]
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rho, dtype=complex)
-        for k in self.operators:
-            out += k @ rho @ k.conj().T
-        return out
-
 
 def recovery_kraus(v: int) -> KrausChannel:
     """Dense Kraus operators K_{J,N} = sum_alpha |0,0,sigma(alpha)><J,N,alpha|."""
@@ -390,19 +379,22 @@ def _support_maps() -> _SupportMaps:
     return maps
 
 
-def _settled_block(rho: np.ndarray) -> np.ndarray | None:
-    """Move a settled rho into the support buffer: its settled block is cut
+def _settled_block(rho: np.ndarray) -> np.ndarray:
+    """Move a swept rho into the support buffer: its settled block is cut
     out of rho (left zero) into the flat (n+1)^2 buffer, which is returned.
 
-    Returns None, rho untouched, unless every entry outside that block is
-    exactly zero and every entry inside is finite."""
+    Raises ValueError if rho is not finite, and AssertionError if any weight
+    lies off the settled states, which ``_support_maps`` proves a sweep
+    cannot leave."""
     maps = _support_maps()
     at = np.ix_(maps.settled, maps.settled)
     block = rho[at]
     rho[at] = 0
-    if rho.any() or not np.isfinite(block).all():
-        rho[at] = block
-        return None
+    off = rho.any()
+    if off and np.isfinite(rho).all():
+        raise AssertionError("a sweep left weight off the settled states")
+    if off or not np.isfinite(block).all():
+        raise ValueError("rho has non-finite entries")
     n = len(maps.states)
     small = np.zeros((n + 1, n + 1), dtype=complex)
     inside = np.searchsorted(maps.states, maps.settled)
@@ -433,8 +425,7 @@ def _block_overlap(small: np.ndarray) -> float:
 def _check_cooling_parameters(tol: float, max_sweeps: int) -> None:
     """Reject a tol that is not finite and positive, or a max_sweeps that is
     not an integer of at least 1."""
-    if not math.isfinite(tol) or tol <= 0:
-        raise ValueError("tol must be a finite positive number")
+    _check_positive(tol, "tol")
     _check_count(max_sweeps, "max_sweeps")
 
 
@@ -443,34 +434,31 @@ def iterative_cooling(
 ) -> tuple[np.ndarray, CoolingReport]:
     """Sweep until the GI overlap exceeds 1 - tol or max_sweeps is reached.
 
-    Sweep 0 is dense; once it has run, rho is checked exactly against the
-    support one sweep proves, and the later sweeps run on that block."""
+    A rho whose overlap is not finite is a ValueError.  Sweep 0 is dense;
+    the later sweeps and every overlap after it run on the block of the
+    support one sweep proves."""
     _check_cooling_parameters(tol, max_sweeps)
     overlaps = [gi_overlap(rho)]
-    sweeps, small = 0, None
-    if overlaps[-1] <= 1.0 - tol:
-        # one working copy that every sweep cools in place: a fresh 6.25 MB
+    if not np.isfinite(overlaps[0]):
+        raise ValueError("rho has non-finite entries")
+    if overlaps[0] <= 1.0 - tol:
+        # one working copy that sweep 0 cools in place: a fresh 6.25 MB
         # array per vertex costs a page fault per 4 kB page it touches
         rho = np.array(rho, dtype=complex, order="C")
-    while overlaps[-1] <= 1.0 - tol and sweeps < max_sweeps:
-        if sweeps == 1:
-            small = _settled_block(rho)
-        if small is None:
-            for v in range(N_VERTICES):
-                _cool_into(rho, rho, v)
-            overlaps.append(gi_overlap(rho))
-        else:
+        for v in range(N_VERTICES):
+            _cool_into(rho, rho, v)
+        small = _settled_block(rho)
+        overlaps.append(_block_overlap(small))
+        while overlaps[-1] <= 1.0 - tol and len(overlaps) <= max_sweeps:
             for v in range(N_VERTICES):
                 _cool_block(small, v)
             overlaps.append(_block_overlap(small))
-        sweeps += 1
-    if small is not None:
         states = _support_maps().states
         n = len(states)
         rho[np.ix_(states, states)] = small.reshape(n + 1, n + 1)[:n, :n]
     report = CoolingReport(
         overlaps=overlaps,
-        sweeps_used=sweeps,
+        sweeps_used=len(overlaps) - 1,
         converged=overlaps[-1] > 1.0 - tol,
     )
     return rho, report

@@ -30,15 +30,14 @@ trace preserving and completely positive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .hamiltonian import _check_g2, electric_edge_term, magnetic_hamiltonian
+from .hamiltonian import electric_edge_term, magnetic_hamiltonian
 from .lattice import EDGE_DIM, N_EDGES, TOTAL_DIM, _check_edge, local_view
-from .su2 import _check_count
+from .su2 import _check_count, _check_positive
 
 __all__ = [
     "TrotterConfig",
@@ -64,10 +63,9 @@ class TrotterConfig:
     n_steps: int = 30
 
     def __post_init__(self):
-        _check_g2(self.g2)
+        _check_positive(self.g2, "g2")
         _check_count(self.n_steps, "n_steps")
-        if not math.isfinite(self.total_time) or self.total_time <= 0:
-            raise ValueError("total_time must be a finite positive number")
+        _check_positive(self.total_time, "total_time")
 
     @property
     def dt(self) -> float:

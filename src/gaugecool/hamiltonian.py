@@ -21,13 +21,12 @@ providing an independent cross-check of the contraction.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from .lattice import EDGE_DIM, N_EDGES, edge_basis, embed_edge_operator
-from .su2 import _check_count, clebsch_gordan, haar_batch
+from .su2 import _check_count, _check_positive, clebsch_gordan, haar_batch
 
 __all__ = [
     "electric_edge_term",
@@ -38,15 +37,9 @@ __all__ = [
 ]
 
 
-def _check_g2(g2: float) -> None:
-    """Reject a coupling g2 that is not finite and positive."""
-    if not math.isfinite(g2) or g2 <= 0:
-        raise ValueError("g2 must be a finite positive number")
-
-
 def electric_edge_term(g2: float = 1.0) -> np.ndarray:
     """Single-edge electric energy (g^2/2) j(j+1), diagonal 5x5."""
-    _check_g2(g2)
+    _check_positive(g2, "g2")
     jj = np.array([tj / 2 * (tj / 2 + 1) for tj, _, _ in edge_basis(1)])
     return np.diag(g2 / 2 * jj).astype(complex)
 
@@ -110,7 +103,7 @@ def magnetic_plaquette_matrix() -> np.ndarray:
 
 def magnetic_hamiltonian(g2: float = 1.0) -> np.ndarray:
     """H_B = -(P + P^dagger) / (2 g^2), Hermitian and real in this basis."""
-    _check_g2(g2)
+    _check_positive(g2, "g2")
     p = magnetic_plaquette_matrix()
     return -(p + p.conj().T) / (2.0 * g2)
 

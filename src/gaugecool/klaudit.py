@@ -21,13 +21,12 @@ syndrome-conditioned recovery can and cannot undo:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .su2 import cg_isometry, pauli_matrices, spherical_pauli
+from .su2 import _check_integer_in, cg_isometry, pauli_matrices, spherical_pauli
 
 __all__ = [
     "N_VERTEX_EDGES",
@@ -128,20 +127,19 @@ def coord4_cg_basis() -> Coord4Basis:
 def _error_matrix(error) -> np.ndarray:
     """2x2 matrix for an error label: "I"/"X"/"Y"/"Z" or a spherical q."""
     x, y, z = pauli_matrices()
-    if isinstance(error, str):
-        by_name = {"I": np.eye(2, dtype=complex), "X": x, "Y": y, "Z": z}
-        if error.upper() in by_name:
-            return by_name[error.upper()]
-        raise ValueError(f"unknown error label {error!r}; use I/X/Y/Z or q in {{-1,0,+1}}")
-    if error in (-1, 0, 1):
-        return spherical_pauli(error)
-    raise ValueError(f"unknown error label {error!r}; use I/X/Y/Z or q in {{-1,0,+1}}")
+    by_name = {"I": np.eye(2, dtype=complex), "X": x, "Y": y, "Z": z}
+    if isinstance(error, str) and error.upper() in by_name:
+        return by_name[error.upper()]
+    message = f"unknown error label {error!r}; use I/X/Y/Z or q in {{-1,0,+1}}"
+    _check_integer_in(error, (-1, 0, 1), message)
+    return spherical_pauli(error)
 
 
 def edge_operator(error, edge: int) -> np.ndarray:
     """The 16x16 action at the vertex of an operator on one incident edge."""
-    if not isinstance(edge, numbers.Integral) or edge not in range(N_VERTEX_EDGES):
-        raise ValueError(f"edge must be 0..{N_VERTEX_EDGES - 1}, got {edge}")
+    _check_integer_in(
+        edge, range(N_VERTEX_EDGES), f"edge must be 0..{N_VERTEX_EDGES - 1}, got {edge}"
+    )
     op = _error_matrix(error)
     eye = np.eye(2, dtype=complex)
     return reduce(np.kron, (op if k == edge else eye for k in range(N_VERTEX_EDGES)))
@@ -213,8 +211,8 @@ def multiplicity_map(error, edge: int, m_target: int | None = None) -> Multiplic
         if len(allowed) > 1:
             raise ValueError(f"{key} straddles M = -1 and +1; pass m_target")
         m_target = allowed[0]
-    if not isinstance(m_target, numbers.Integral) or m_target not in allowed:
-        raise ValueError(f"a {key} error cannot reach M = {m_target} from a singlet")
+    message = f"a {key} error cannot reach M = {m_target} from a singlet"
+    _check_integer_in(m_target, allowed, message)
     a = _raw_map(key, edge, m_target) / _reduced_matrix_element()
     a.setflags(write=False)
     return MultiplicityMap(key, edge, m_target, a)
@@ -269,10 +267,8 @@ def residual_pauli_weights(reference_edge: int = 0, m_target: int = 0) -> Residu
     each edge's residual as normalized I/X/Y/Z weights.
     """
     n = N_VERTEX_EDGES
-    if not isinstance(reference_edge, numbers.Integral) or reference_edge not in range(n):
-        raise ValueError(f"reference_edge must be 0..{n - 1}")
-    if not isinstance(m_target, numbers.Integral) or m_target not in (-1, 0, 1):
-        raise ValueError("m_target must be -1, 0, or +1")
+    _check_integer_in(reference_edge, range(n), f"reference_edge must be 0..{n - 1}")
+    _check_integer_in(m_target, (-1, 0, 1), "m_target must be -1, 0, or +1")
     error: str | int = "Z" if m_target == 0 else m_target
     maps = [multiplicity_map(error, k, m_target) for k in range(N_VERTEX_EDGES)]
     rec = np.linalg.pinv(maps[reference_edge].matrix)
@@ -298,8 +294,7 @@ def wigner_eckart_residual(q: int, edge: int) -> float:
     max |entry| of ``E Pi_0 - r * T_q A S^dag``, which also vanishes only if
     the error has no singlet-to-singlet or singlet-to-J=2 component.
     """
-    if q not in (-1, 0, 1):
-        raise ValueError("q must be a spherical component -1, 0, or +1")
+    _check_integer_in(q, (-1, 0, 1), "q must be a spherical component -1, 0, or +1")
     b = coord4_cg_basis()
     s = b.singlets
     image = edge_operator(q, edge) @ s

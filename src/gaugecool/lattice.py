@@ -29,7 +29,6 @@ of exact irreducible chains, one entry per pair of edge spins.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import groupby
@@ -38,7 +37,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .su2 import spin_matrices, wigner_d
+from .su2 import _check_integer_in, spin_matrices, wigner_d
 
 __all__ = [
     "N_EDGES",
@@ -79,16 +78,14 @@ _AXES = {"x": 0, "y": 1, "z": 2}
 
 def vertex_edges(v: int) -> tuple[int, int]:
     """(outgoing edge, incoming edge) at vertex v."""
-    if v not in range(N_VERTICES):
-        raise ValueError("vertex index out of range")
+    _check_integer_in(v, range(N_VERTICES), "vertex index out of range")
     out = next(e for e, (a, _) in enumerate(EDGE_ENDPOINTS) if a == v)
     inc = next(e for e, (_, b) in enumerate(EDGE_ENDPOINTS) if b == v)
     return out, inc
 
 
 def _check_edge(e: int) -> None:
-    if not isinstance(e, numbers.Integral) or e not in range(N_EDGES):
-        raise ValueError("edge index out of range")
+    _check_integer_in(e, range(N_EDGES), "edge index out of range")
 
 
 def edge_basis(twice_j_max: int = 1):

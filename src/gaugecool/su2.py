@@ -154,6 +154,18 @@ def _check_count(x, name: str) -> None:
         raise ValueError(f"{name} must be at least 1")
 
 
+def _check_positive(x, name: str) -> None:
+    """Reject an x that is not a finite positive number."""
+    if not math.isfinite(x) or x <= 0:
+        raise ValueError(f"{name} must be a finite positive number")
+
+
+def _check_integer_in(x, allowed, message: str) -> None:
+    """Reject, with message, an x that is not an integer in allowed."""
+    if not (isinstance(x, numbers.Integral) and x in allowed):
+        raise ValueError(message)
+
+
 def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     """Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M> (Condon-Shortley).
 
@@ -242,11 +254,10 @@ def spherical_pauli(q: int) -> np.ndarray:
     O_0 = Z and O_{+-1} = -+ (X +- iY)/sqrt(2); these satisfy
     [Jz, O_q] = q O_q and sum_q O_q^dagger O_q = 3 * identity.
     """
+    _check_integer_in(q, (-1, 0, 1), "spherical component q must be -1, 0, or +1")
     x, y, z = _paulis()
     if q == 0:
         return z.copy()
     if q == 1:
         return -(x + 1j * y) / np.sqrt(2.0)
-    if q == -1:
-        return (x - 1j * y) / np.sqrt(2.0)
-    raise ValueError("spherical component q must be -1, 0, or +1")
+    return (x - 1j * y) / np.sqrt(2.0)

@@ -51,24 +51,24 @@ def protocol_state():
 
 
 def test_syndrome_labels_validated():
-    s = Syndrome.of(Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
+    s = Syndrome(Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
     assert s.j == Fraction(1, 2)
     with pytest.raises(ValueError):
-        Syndrome.of(-1, 0, 0)
+        Syndrome(-1, 0, 0)
     with pytest.raises(ValueError):
-        Syndrome.of(Fraction(1, 2), Fraction(3, 2), Fraction(1, 2))  # |M| > J
+        Syndrome(Fraction(1, 2), Fraction(3, 2), Fraction(1, 2))  # |M| > J
     with pytest.raises(ValueError):
-        Syndrome.of(1, Fraction(1, 2), 0)  # parity mismatch with J
+        Syndrome(1, Fraction(1, 2), 0)  # parity mismatch with J
 
 
 def test_near_half_integer_syndrome_label_is_exact():
     # a label within _twice's tolerance of a half-integer is stored exactly
-    exact = Syndrome.of(Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
-    for near in (Syndrome.of(0.5 + 1e-10, 0.5, -0.5), Syndrome(0.5 + 1e-10, 0.5, -0.5)):
-        assert near == exact and hash(near) == hash(exact)
-        assert (near.j, near.m, near.n) == (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
+    exact = Syndrome(Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
+    near = Syndrome(0.5 + 1e-10, 0.5, -0.5)
+    assert near == exact and hash(near) == hash(exact)
+    assert (near.j, near.m, near.n) == (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
     rho = np.outer(vacuum_state(), vacuum_state().conj())
-    assert syndrome_probabilities(rho, 0)[Syndrome.of(0.5 + 1e-10, 0.5, -0.5)] == 0.0
+    assert syndrome_probabilities(rho, 0)[Syndrome(0.5 + 1e-10, 0.5, -0.5)] == 0.0
 
 
 def test_syndrome_operator_identity_on_singlets():
@@ -119,7 +119,7 @@ def test_probabilities_vacuum_is_certain():
     rho = np.outer(vac, vac.conj())
     for v in range(4):
         probs = syndrome_probabilities(rho, v)
-        assert probs[Syndrome.of(0, 0, 0)] == pytest.approx(1.0, abs=1e-12)
+        assert probs[Syndrome(0, 0, 0)] == pytest.approx(1.0, abs=1e-12)
         rest = sum(p for s, p in probs.items() if s.j != 0)
         assert rest == pytest.approx(0.0, abs=1e-12)
 
@@ -220,7 +220,7 @@ def test_local_kernels_match_dense_oracles(seed, rank):
     # syndrome weights against the dense 625-dim channel and projectors.
     rho = random_density(np.random.default_rng(seed), rank=rank)
     for v in range(4):
-        dense = recovery_kraus(v).apply(rho)
+        dense = sum(k @ rho @ k.conj().T for k in recovery_kraus(v).operators)
         assert np.max(np.abs(cool_vertex(rho, v) - dense)) <= 1e-12
         basis = build_cg_basis(v)
         for syn, p in syndrome_probabilities(rho, v).items():
@@ -447,22 +447,38 @@ def test_settled_block_needs_exact_zeros_off_the_settled_states():
     rho = cooling_sweep(protocol_state())
     off = np.setdiff1d(np.arange(TOTAL_DIM), _support_maps().settled)[0]
     inside = _support_maps().settled[0]
-    for at, value in (((off, off), 1e-300), ((inside, off), 1e-300), ((inside, inside), np.nan)):
+    for at, value, error in (
+        ((off, off), 1e-300, AssertionError),
+        ((inside, off), 1e-300, AssertionError),
+        ((inside, inside), np.nan, ValueError),
+        ((off, inside), np.inf, ValueError),
+    ):
         bad = rho.copy()
         bad[at] = value
-        assert _settled_block(bad) is None
-        assert np.array_equal(bad[at], value, equal_nan=True)
-        bad[at] = rho[at]
-        assert np.array_equal(bad, rho)
+        with pytest.raises(error):
+            _settled_block(bad)
     cut = rho.copy()
     small = _settled_block(cut)
-    assert small is not None and not cut.any()
+    assert not cut.any()
     states = _support_maps().states
     n = len(states)
     block = small.reshape(n + 1, n + 1)
     assert not block[n].any() and not block[:, n].any()
     cut[np.ix_(states, states)] = block[:n, :n]
     assert np.array_equal(cut, rho)
+
+
+@pytest.mark.parametrize(
+    "at,value", [((3, 3), np.nan), ((3, 7), np.inf), ((0, 0), -np.inf)],
+    ids=["nan_on_the_diagonal", "inf_off_the_diagonal", "minus_inf_at_0_0"],
+)
+def test_non_finite_rho_is_a_value_error(at, value):
+    rho = protocol_state()
+    rho[at] = value
+    before = rho.copy()
+    with pytest.raises(ValueError, match="non-finite"):
+        iterative_cooling(rho)
+    assert np.array_equal(rho, before, equal_nan=True)
 
 
 def test_iterative_cooling_validation():

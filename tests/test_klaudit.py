@@ -277,6 +277,32 @@ def test_multiplicity_map_rejects_a_float_m_target(error, m_target):
         multiplicity_map(error, 0, m_target)
 
 
+_FLOAT_LABEL_CALLS = {
+    "multiplicity_map": lambda q: multiplicity_map(q, 0),
+    "multiplicity_map_edge2": lambda q: multiplicity_map(q, 2),
+    "detection_check": lambda q: detection_check(q, 1),
+    "edge_operator": lambda q: edge_operator(q, 1),
+}
+
+
+@pytest.mark.parametrize("q", [1.0, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(_FLOAT_LABEL_CALLS))
+def test_a_float_error_label_is_unknown(name, q):
+    with pytest.raises(ValueError, match="unknown error label"):
+        _FLOAT_LABEL_CALLS[name](q)
+
+
+@pytest.mark.parametrize("q", [1.0, 0.0, -1.0])
+def test_wigner_eckart_residual_rejects_a_float_q(q):
+    with pytest.raises(ValueError, match="q must be a spherical component"):
+        wigner_eckart_residual(q, 0)
+
+
+def test_a_bool_label_still_counts_as_an_integer():
+    assert np.array_equal(edge_operator(True, 0), edge_operator(1, 0))
+    assert np.array_equal(multiplicity_map(True, 0).matrix, multiplicity_map(1, 0).matrix)
+
+
 def test_residual_table_row_validation():
     with pytest.raises(ValueError):
         ResidualTable(0, 0, (("Z_0", 0.5, 0.0, 0.0, 0.0),))

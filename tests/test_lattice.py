@@ -157,7 +157,7 @@ _VERTEX_CALLS = {
 }
 
 
-@pytest.mark.parametrize("v", [4, -1, 1.5])
+@pytest.mark.parametrize("v", [4, -1, 1.5, 2.0])
 @pytest.mark.parametrize("name", sorted(_VERTEX_CALLS))
 def test_vertex_out_of_range_is_value_error(name, v):
     with pytest.raises(ValueError, match="vertex index out of range"):

@@ -112,11 +112,11 @@ def test_cg_input_errors():
     "call",
     [
         lambda x: clebsch_gordan(x, 0, 0.5, 0.5, 0.5, 0.5),
-        lambda x: Syndrome.of(x, 0, 0),
+        lambda x: Syndrome(x, 0, 0),
         lambda x: truncated_qft(binary_octahedral_design(), x),
         lambda x: required_design_strength(2, 1, x),
     ],
-    ids=["clebsch_gordan", "Syndrome.of", "truncated_qft", "required_design_strength"],
+    ids=["clebsch_gordan", "Syndrome", "truncated_qft", "required_design_strength"],
 )
 def test_non_finite_spin_label_is_not_a_half_integer(call, x):
     with pytest.raises(ValueError, match="not a half-integer"):
@@ -221,6 +221,12 @@ def test_spherical_pauli_values():
     assert np.allclose(spherical_pauli(-1), (x - 1j * y) / np.sqrt(2))
     with pytest.raises(ValueError):
         spherical_pauli(2)
+
+
+@pytest.mark.parametrize("q", [1.0, 0.0, -1.0])
+def test_spherical_pauli_rejects_a_non_integer_component(q):
+    with pytest.raises(ValueError, match="spherical component q must be"):
+        spherical_pauli(q)
 
 
 def test_spherical_pauli_is_rank1_tensor():
