@@ -38,7 +38,7 @@ tested against them.
 One sweep leaves any rho on a fixed set of 31 basis states, and every later
 vertex stage stays inside a union of 45 (``_support_maps`` derives both by
 pushing the k's nonzero pattern through a sweep).  ``iterative_cooling``
-therefore refuses a rho whose overlap is not finite, runs sweep 0 with the
+therefore refuses a rho with a non-finite entry, runs sweep 0 with the
 dense kernel, cuts the 31-state block out of rho, and runs every later sweep
 and every overlap read after sweep 0 on the 45x45 block with the same pair
 superoperator, through flat index maps; the block goes back into rho once,
@@ -434,13 +434,14 @@ def iterative_cooling(
 ) -> tuple[np.ndarray, CoolingReport]:
     """Sweep until the GI overlap exceeds 1 - tol or max_sweeps is reached.
 
-    A rho whose overlap is not finite is a ValueError.  Sweep 0 is dense;
-    the later sweeps and every overlap after it run on the block of the
-    support one sweep proves."""
+    A rho with a non-finite entry is a ValueError.  Sweep 0 is dense; the
+    later sweeps and every overlap after it run on the block of the support
+    one sweep proves."""
     _check_cooling_parameters(tol, max_sweeps)
-    overlaps = [gi_overlap(rho)]
-    if not np.isfinite(overlaps[0]):
+    # the kernels read only some entries, so a NaN elsewhere would be dropped
+    if not np.isfinite(rho).all():
         raise ValueError("rho has non-finite entries")
+    overlaps = [gi_overlap(rho)]
     if overlaps[0] <= 1.0 - tol:
         # one working copy that sweep 0 cools in place: a fresh 6.25 MB
         # array per vertex costs a page fault per 4 kB page it touches

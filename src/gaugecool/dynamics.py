@@ -14,6 +14,16 @@ assembles the dense U from the same factors, as a reference.
 of a matrix is the union of the spectra of its nonzero graph's connected
 blocks, so this is exact for any input (a dense input is one block).
 
+The Trotter step and every edge channel conserve each vertex's G_z charge as
+a weak symmetry: a rho that is zero between the 281 joint charge classes
+(``lattice.charge_classes``, at most 17 states each) stays so, and U is
+exactly zero between classes.  ``trotter_step``, ``apply_noise_all_edges``
+and ``hygiene`` therefore first try ``lattice.pack``; on its 2,273 entries
+they run one batched U_c rho_c U_c^dagger per class size, the four edges as
+fixed index arithmetic, and one ``eigvalsh`` per class stack.  Any other
+input, such as a cooled rho, takes the dense code, which is also the tests'
+oracle.  The choice rests on that exact property of the input alone.
+
 Noise is applied edge-locally at the channel (Kraus) level:
 
 - depolarizing: rho -> (1-p) rho + (p/5) tr_e(rho) (x) 1_e
@@ -22,7 +32,9 @@ Noise is applied edge-locally at the channel (Kraus) level:
 
 Both have one closed form, ``_edge_channel`` on ``lattice.local_view``: scale
 the edge's (ket, bra) entries, then add a pooled edge population onto the
-edge's diagonal.  ``apply_edge_kraus`` is the Kraus-sum reference.
+edge's diagonal; ``_packed_edge_channel`` does the same arithmetic on the
+packed entries, so both paths give the same bits.  ``apply_edge_kraus`` is
+the Kraus-sum reference.
 
 Density matrices are plain 625x625 complex arrays; every channel here is
 trace preserving and completely positive.
@@ -36,7 +48,17 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .hamiltonian import electric_edge_term, magnetic_hamiltonian
-from .lattice import EDGE_DIM, N_EDGES, TOTAL_DIM, _check_edge, local_view
+from .lattice import (
+    EDGE_DIM,
+    N_EDGES,
+    TOTAL_DIM,
+    _blocks_by_size,
+    _check_edge,
+    charge_classes,
+    local_view,
+    pack,
+    unpack,
+)
 from .su2 import _check_count, _check_positive
 
 __all__ = [
@@ -80,8 +102,8 @@ class NoiseSpec:
     rate: float
 
     def __post_init__(self):
-        if self.kind not in _CHANNELS:
-            raise ValueError(f"noise kind must be one of {tuple(_CHANNELS)}")
+        if self.kind not in _FORMS:
+            raise ValueError(f"noise kind must be one of {tuple(_FORMS)}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError("noise rate must lie in [0, 1]")
 
@@ -115,13 +137,6 @@ def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         if np.array_equal(new, labels):
             return labels
         labels = new
-
-
-def _blocks_by_size(labels: np.ndarray) -> list[np.ndarray]:
-    """Node indices of every component, as one (count, size) array per size."""
-    order = np.argsort(labels, kind="stable")
-    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
-    return [order[starts[sizes == s, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
 @lru_cache(maxsize=4)
@@ -158,10 +173,40 @@ def trotter_unitary(g2: float, dt: float) -> np.ndarray:
     return u
 
 
+@lru_cache(maxsize=4)
+def _class_trotter(g2: float, dt: float) -> tuple[np.ndarray, ...]:
+    """U on each ``charge_classes`` block, one (count, size, size) stack per
+    class size, gathered entry by entry from ``_trotter_factors``.  H_B
+    commutes with every G_z^v, so U is exactly zero between classes."""
+    moved, block, phases = _trotter_factors(g2, dt)
+    at = np.full(TOTAL_DIM, -1)
+    at[moved] = np.arange(len(moved))
+    stacks = []
+    for idx in charge_classes().stacks:
+        a = at[idx]
+        ket, bra = a[:, :, None], a[:, None, :]
+        u = np.where((ket >= 0) & (bra >= 0), block[ket, bra], 0)
+        diag = np.arange(idx.shape[1])
+        u[:, diag, diag] = np.where(a >= 0, u[:, diag, diag], phases[idx])
+        u.setflags(write=False)
+        stacks.append(u)
+    return tuple(stacks)
+
+
 def trotter_step(rho: np.ndarray, cfg: TrotterConfig) -> np.ndarray:
     """One noiseless Trotter step of the density matrix, U rho U^dagger.
 
-    Only the moved rows and columns need a matmul; the rest take a phase."""
+    A class-diagonal rho (``lattice.pack``) steps block by block, one batched
+    product per class size.  Otherwise only the moved rows and columns need a
+    matmul; the rest take a phase."""
+    packed = pack(rho)
+    if packed is not None:
+        classes = charge_classes()
+        out = np.empty(packed.shape, dtype=complex)
+        for u, r, o in zip(_class_trotter(cfg.g2, cfg.dt), classes.blocks(packed),
+                           classes.blocks(out)):
+            np.matmul(u @ r, u.conj().swapaxes(1, 2), out=o)
+        return unpack(out)
     moved, block, phases = _trotter_factors(cfg.g2, cfg.dt)
     out = rho * phases[:, None]
     out[moved] = block @ rho[moved]
@@ -209,6 +254,41 @@ def _edge_channel(rho: np.ndarray, edge: int, rate: float, form) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
+def _packed_edge_maps() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per edge, ``_edge_channel``'s index arithmetic on a packed rho:
+    (pair, diag).  ``pair`` is each packed entry's edge (ket, bra) index
+    5 * ket + bra into the channel's scale; ``diag[i]`` lists the entries
+    |i><i| on the edge, one per (other kets, other bras) whose entries are on
+    the classes.  Setting the edge's ket and bra to the same i shifts both
+    sides' charges alike, so each such entry has all five i on the classes."""
+    positions = charge_classes().positions
+    order = np.argsort(positions)
+    row, col = np.divmod(positions, TOTAL_DIM)
+    maps = []
+    for e in range(N_EDGES):
+        stride = EDGE_DIM ** (N_EDGES - 1 - e)
+        ket, bra = row // stride % EDGE_DIM, col // stride % EDGE_DIM
+        ground = positions[(ket == 0) & (bra == 0)]
+        diag = ground + (TOTAL_DIM + 1) * stride * np.arange(EDGE_DIM)[:, None]
+        diag = order[np.searchsorted(positions, diag, sorter=order)]
+        for a in (pair := ket * EDGE_DIM + bra, diag):
+            a.setflags(write=False)
+        maps.append((pair, diag))
+    return tuple(maps)
+
+
+def _packed_edge_channel(packed: np.ndarray, edge: int, rate: float, form) -> np.ndarray:
+    """``_edge_channel`` on a packed rho, with the same arithmetic entry by entry."""
+    pair, diag = _packed_edge_maps()[edge]
+    scale, pool, targets, weight = form(rate)
+    out = packed * scale.ravel()[pair]
+    fed = weight * sum(packed[diag[j]] for j in pool)
+    for i in targets:
+        out[diag[i]] += fed
+    return out
+
+
 def _depolarizing_form(p: float):
     """Keep 1-p of every entry; feed p/5 of the edge's population to each state."""
     every = range(EDGE_DIM)
@@ -241,14 +321,22 @@ def amplitude_damping_channel(rho: np.ndarray, edge: int, gamma: float) -> np.nd
     return _edge_channel(rho, edge, gamma, _damping_form)
 
 
-_CHANNELS = {"depolarizing": depolarizing_channel, "amplitude_damping": amplitude_damping_channel}
+_FORMS = {"depolarizing": _depolarizing_form, "amplitude_damping": _damping_form}
 
 
 def apply_noise_all_edges(rho: np.ndarray, spec: NoiseSpec) -> np.ndarray:
-    """Apply the noise channel to edges e0, e1, e2, e3 in order."""
-    channel = _CHANNELS[spec.kind]
+    """Apply the noise channel to edges e0, e1, e2, e3 in order.
+
+    A class-diagonal rho is packed once, and every edge runs on the packed
+    entries: the channel keeps each G_z^v class block on its own."""
+    form = _FORMS[spec.kind]
+    packed = pack(rho)
+    if packed is not None:
+        for e in range(N_EDGES):
+            packed = _packed_edge_channel(packed, e, spec.rate, form)
+        return unpack(packed)
     for e in range(N_EDGES):
-        rho = channel(rho, e, spec.rate)
+        rho = _edge_channel(rho, e, spec.rate, form)
     return rho
 
 
@@ -262,13 +350,23 @@ def hygiene(rho: np.ndarray) -> tuple[float, float, float]:
 
     rho - rho^dagger and the Hermitian part vanish between the connected
     blocks of the nonzero graph of rho and rho^T, so both are read block by
-    block, with one batched ``eigvalsh`` per block size."""
+    block, with one batched ``eigvalsh`` per block size; a class-diagonal
+    rho is read on its packed class blocks.  A rho with a non-finite entry
+    is a ValueError."""
     trace_dev = abs(np.trace(rho) - 1.0)
-    mask = rho != 0
-    mask |= mask.T
+    packed = pack(rho)
+    # off the packed entries a packed rho is exactly zero
+    if not np.isfinite(rho if packed is None else packed).all():
+        raise ValueError("rho has non-finite entries")
+    if packed is not None:
+        stacks = charge_classes().blocks(packed)
+    else:
+        mask = rho != 0
+        mask |= mask.T
+        stacks = [rho[idx[:, :, None], idx[:, None, :]]
+                  for idx in _blocks_by_size(_components(len(rho), *np.nonzero(mask)))]
     herm_dev, min_eig = 0.0, np.inf
-    for idx in _blocks_by_size(_components(len(rho), *np.nonzero(mask))):
-        sub = rho[idx[:, :, None], idx[:, None, :]]
+    for sub in stacks:
         adj = sub.conj().transpose(0, 2, 1)
         herm_dev = max(herm_dev, np.max(np.abs(sub - adj)))
         min_eig = min(min_eig, np.linalg.eigvalsh((sub + adj) / 2.0).min())

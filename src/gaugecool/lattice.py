@@ -24,7 +24,10 @@ pi_j(g) on n(e_in).  Vertex operators are written once on a vertex's two
 edges (25 dimensions) and ``lift_pair`` makes them dense 625-dim operators.
 The vertex Clebsch-Gordan basis on those two edges is a closed-form table
 of exact irreducible chains, one entry per pair of edge spins.
-``local_view`` owns the density-matrix layout (kets e0..e3, then bras).
+``local_view`` owns the density-matrix layout (kets e0..e3, then bras), and
+``charge_classes`` its block layout by gauge charge: the basis states grouped
+by their four G_z^v values (281 classes, 2,273 entries), which ``pack`` and
+``unpack`` map to and from a flat vector for the charge-conserving channels.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from functools import lru_cache, reduce
 from itertools import groupby
 from operator import attrgetter
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +55,10 @@ __all__ = [
     "product_index",
     "vacuum_state",
     "local_view",
+    "ChargeClasses",
+    "charge_classes",
+    "pack",
+    "unpack",
     "embed_edge_operator",
     "lift_pair",
     "gauge_generator",
@@ -131,6 +139,83 @@ def local_view(rho: np.ndarray, edges: tuple[int, ...]) -> np.ndarray:
     rest = tuple(e for e in range(N_EDGES) if e not in edges)
     axes = (*edges, *(N_EDGES + e for e in edges), *rest, *(N_EDGES + e for e in rest))
     return rho.reshape((EDGE_DIM,) * (2 * N_EDGES)).transpose(axes)
+
+
+def _blocks_by_size(labels: np.ndarray) -> list[np.ndarray]:
+    """Indices of each group of equal labels (a component, a charge class),
+    ascending within a group, as one (count, size) array per group size."""
+    order = np.argsort(labels, kind="stable")
+    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    return [order[starts[sizes == s, None] + np.arange(s)] for s in np.unique(sizes)]
+
+
+class ChargeClasses(NamedTuple):
+    """The basis states grouped by their four vertex G_z charges.
+
+    ``stacks`` holds one (count, size) array of state indices per class
+    size, ascending; ``positions`` holds the flat entries row * 625 + col
+    of every class block, stack by stack and each block row-major.  A rho
+    that is zero off these entries is "class-diagonal"; ``pack`` stores it
+    as the vector of its values at ``positions``."""
+
+    stacks: tuple[np.ndarray, ...]
+    positions: np.ndarray
+
+    def blocks(self, packed: np.ndarray) -> list[np.ndarray]:
+        """Views of a packed vector as (count, size, size) stacks of class blocks."""
+        out, start = [], 0
+        for idx in self.stacks:
+            count, size = idx.shape
+            out.append(packed[start:start + count * size * size].reshape(count, size, size))
+            start += count * size * size
+        return out
+
+
+@lru_cache(maxsize=1)
+def charge_classes() -> ChargeClasses:
+    """Classes of equal (G_z^0, G_z^1, G_z^2, G_z^3) eigenvalues.
+
+    Each G_z^v is diagonal in the product basis, and its value on a state
+    is read from the diagonal of the pair generator at the state's pair
+    index under v; the four doubled values in -2..2 make one integer key."""
+    digits = np.indices((EDGE_DIM,) * N_EDGES).reshape(N_EDGES, -1)
+    twice_gz = np.rint(2 * np.diag(_pair_generators()[2]).real).astype(int)
+    key = np.zeros(TOTAL_DIM, dtype=int)
+    for v in range(N_VERTICES):
+        e_out, e_in = vertex_edges(v)
+        key = 5 * key + 2 + twice_gz[EDGE_DIM * digits[e_out] + digits[e_in]]
+    stacks = tuple(_blocks_by_size(key))
+    positions = np.concatenate(
+        [(idx[:, :, None] * TOTAL_DIM + idx[:, None, :]).ravel() for idx in stacks]
+    )
+    for a in (*stacks, positions):
+        a.setflags(write=False)
+    return ChargeClasses(stacks, positions)
+
+
+def pack(rho: np.ndarray) -> np.ndarray | None:
+    """rho's values on the ``charge_classes`` entries, or None unless every
+    other entry of rho is exactly zero (NaN counts as nonzero)."""
+    if rho.shape != (TOTAL_DIM, TOTAL_DIM):
+        return None
+    rho = np.ascontiguousarray(rho)
+    packed = rho.take(charge_classes().positions)
+    # Counted part by part: a complex entry is nonzero iff its real or
+    # imaginary part is.  Bits first, the faster count: equal counts of set
+    # bits leave only +0.0 off the classes; else the float count decides,
+    # since -0.0 is zero too.
+    parts = rho.real.dtype
+    for dtype in (f"u{parts.itemsize}", parts):
+        if np.count_nonzero(rho.view(dtype)) == np.count_nonzero(packed.view(dtype)):
+            return packed
+    return None
+
+
+def unpack(packed: np.ndarray) -> np.ndarray:
+    """The 625x625 rho that ``pack`` maps to ``packed``."""
+    rho = np.zeros(TOTAL_DIM * TOTAL_DIM, dtype=packed.dtype)
+    rho[charge_classes().positions] = packed
+    return rho.reshape(TOTAL_DIM, TOTAL_DIM)
 
 
 def embed_edge_operator(op: np.ndarray, edge: int) -> np.ndarray:

@@ -119,6 +119,12 @@ DATA = Path(__file__).parent / "data"
              "--steps", "3", "--time", "0.3"],
         ),
         ("kl_audit.csv", ["kl-audit"]),
+        ("evolve_uncooled.csv", ["evolve", "--rate", "0.01"]),
+        (
+            "evolve_damping_uncooled.csv",
+            ["evolve", "--noise", "amplitude-damping", "--rate", "0.01", "--cool", "off",
+             "--steps", "6", "--time", "0.6"],
+        ),
     ],
 )
 def test_csv_matches_golden_file(tmp_path, name, argv):

@@ -481,6 +481,20 @@ def test_non_finite_rho_is_a_value_error(at, value):
     assert np.array_equal(rho, before, equal_nan=True)
 
 
+def test_nan_where_no_kernel_reads_is_a_value_error():
+    """Most entries are read by neither the entry overlap nor sweep 0's pair
+    superoperator columns; a NaN there is refused all the same."""
+    rng = np.random.default_rng(60)
+    for _ in range(60):
+        i, j = rng.choice(TOTAL_DIM, size=2, replace=False)
+        rho = np.eye(TOTAL_DIM, dtype=complex) / TOTAL_DIM
+        rho[i, j] = np.nan
+        before = rho.copy()
+        with pytest.raises(ValueError, match="non-finite"):
+            iterative_cooling(rho)
+        assert np.array_equal(rho, before, equal_nan=True)
+
+
 def test_iterative_cooling_validation():
     rho = np.eye(TOTAL_DIM) / TOTAL_DIM
     with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from gaugecool import dynamics
+from gaugecool.cli import main
 from gaugecool.dynamics import (
     NoiseSpec,
     TrotterConfig,
@@ -19,6 +21,7 @@ from gaugecool.dynamics import (
     trotter_step,
     trotter_step_state,
     trotter_unitary,
+    _class_trotter,
     _components,
     _damping_kraus,
     _trotter_factors,
@@ -26,7 +29,11 @@ from gaugecool.dynamics import (
 from gaugecool.hamiltonian import electric_hamiltonian, magnetic_hamiltonian
 from gaugecool.lattice import (
     EDGE_DIM,
+    N_EDGES,
     TOTAL_DIM,
+    ChargeClasses,
+    charge_classes,
+    pack,
     product_index,
     singlet_projector,
     vacuum_state,
@@ -203,6 +210,14 @@ def test_trotter_factors_cache_is_bounded():
     for k in range(bound + 3):
         _trotter_factors(1.0, 0.01 * (k + 1))
     assert _trotter_factors.cache_info().currsize <= bound
+
+
+def test_class_trotter_cache_is_bounded():
+    bound = _class_trotter.cache_info().maxsize
+    assert bound is not None
+    for k in range(bound + 3):
+        _class_trotter(1.0, 0.01 * (k + 1))
+    assert _class_trotter.cache_info().currsize <= bound
 
 
 @pytest.mark.parametrize("g2, dt", [(1.0, 0.1), (0.5, 0.05), (2.0, 0.2), (1.3, 0.37)])
@@ -408,6 +423,172 @@ def test_noise_spec_validation():
         NoiseSpec("depolarizing", 1.5)
     with pytest.raises(ValueError):
         NoiseSpec("amplitude_damping", -0.1)
+
+
+@pytest.mark.parametrize(
+    "at, value",
+    [((3, 7), np.nan), ((5, 5), np.nan), ((0, 0), np.inf), ((0, 0), -np.inf),
+     ("on_class", np.nan), ("on_class", -np.inf), ((3, 7), -np.inf)],
+    ids=["nan_off_class", "nan_on_the_diagonal", "inf_at_0_0", "minus_inf_at_0_0",
+         "nan_on_class", "minus_inf_on_class", "minus_inf_off_class"],
+)
+def test_hygiene_refuses_non_finite_entries(at, value):
+    """On both paths: (3, 7) lies off the charge classes, the others on them."""
+    if at == "on_class":
+        at = tuple(charge_classes().stacks[1][0])
+    rho = np.eye(TOTAL_DIM, dtype=complex) / TOTAL_DIM
+    rho[at] = value
+    assert (pack(rho) is None) == (at == (3, 7))
+    with pytest.raises(ValueError, match="non-finite"):
+        hygiene(rho)
+
+
+# ---------------------------------------------------------------- class-packed kernels
+
+
+def class_blocks_of(rho):
+    """rho with every entry off the charge classes set to zero."""
+    out = np.zeros(TOTAL_DIM * TOTAL_DIM, dtype=complex)
+    positions = charge_classes().positions
+    out[positions] = rho.take(positions)
+    return out.reshape(TOTAL_DIM, TOTAL_DIM)
+
+
+def random_class_diagonal(rng, rank):
+    """A random density matrix that is zero off the charge classes: up to
+    rank 17 on the largest class, or the class blocks of a full-rank state."""
+    if rank == TOTAL_DIM:
+        return class_blocks_of(random_density(rng, rank))
+    (big,) = charge_classes().stacks[-1]
+    b = rng.normal(size=(len(big), rank)) + 1j * rng.normal(size=(len(big), rank))
+    rho = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
+    rho[np.ix_(big, big)] = b @ b.conj().T
+    return rho / np.trace(rho)
+
+
+def uncooled_states(kind, steps=4):
+    """The states of an uncooled rate-0.01 run after each Trotter step and each noise."""
+    cfg, spec = TrotterConfig(1.0, 0.1 * steps, steps), NoiseSpec(kind, 0.01)
+    rho = np.outer(vacuum_state(), vacuum_state().conj())
+    states = []
+    for _ in range(steps):
+        rho = trotter_step(rho, cfg)
+        states.append(rho)
+        rho = apply_noise_all_edges(rho, spec)
+        states.append(rho)
+    return states
+
+
+PACKED_INPUTS = {
+    **{f"rank{r}": lambda r=r: random_class_diagonal(np.random.default_rng(r), r)
+       for r in (1, 8, TOTAL_DIM)},
+    **{f"{kind}_step{k}": lambda kind=kind, k=k: uncooled_states(kind)[k]
+       for kind in ("depolarizing", "amplitude_damping") for k in (0, 3, 7)},
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_trotter_step_and_edge_noise_keep_the_charge_classes(seed):
+    """Weak symmetry: class-diagonal Hermitian input stays class-diagonal
+    under the dense U sandwich and each dense edge channel."""
+    rng = np.random.default_rng(seed)
+    h = class_blocks_of(rng.normal(size=(TOTAL_DIM,) * 2) + 1j * rng.normal(size=(TOTAL_DIM,) * 2))
+    h = h + h.conj().T
+    u = trotter_unitary(1.0 + seed, 0.1 + 0.2 * seed)
+    outputs = [u @ h @ u.conj().T]
+    for e in range(N_EDGES):
+        outputs += [depolarizing_channel(h, e, 0.3), amplitude_damping_channel(h, e, 0.3)]
+    for out in outputs:
+        assert np.max(np.abs(out - class_blocks_of(out))) < 1e-12
+
+
+@pytest.mark.parametrize("g2, dt", [(1.0, 0.1), (0.5, 0.05), (2.0, 0.37)])
+def test_trotter_unitary_is_exactly_zero_between_classes(g2, dt):
+    u = trotter_unitary(g2, dt)
+    assert not (u - class_blocks_of(u)).any()
+
+
+def both_paths(monkeypatch, func, *args):
+    """func(*args) on the packed path, then on the dense path."""
+    assert pack(args[0]) is not None
+    fast = func(*args)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "pack", lambda rho: None)
+        return fast, func(*args)
+
+
+@pytest.mark.parametrize("name", PACKED_INPUTS)
+def test_packed_kernels_match_the_dense_path(monkeypatch, name):
+    rho = PACKED_INPUTS[name]()
+    fast, dense = both_paths(monkeypatch, trotter_step, rho, TrotterConfig(1.3, 0.37, 1))
+    assert np.max(np.abs(fast - dense)) <= 1e-15
+    for kind in ("depolarizing", "amplitude_damping"):
+        for rate in (0.01, 0.37):
+            fast, dense = both_paths(monkeypatch, apply_noise_all_edges, rho, NoiseSpec(kind, rate))
+            assert np.array_equal(fast, dense)
+    fast, dense = both_paths(monkeypatch, hygiene, rho)
+    assert fast == dense
+
+
+class KernelSpy:
+    """Records each ``pack`` result's path and each packed kernel call of dynamics."""
+
+    def __init__(self, monkeypatch):
+        self.packed, self.calls = [], []
+        pack_ = dynamics.pack
+
+        def spy_pack(rho):
+            packed = pack_(rho)
+            self.packed.append(packed is not None)
+            return packed
+
+        monkeypatch.setattr(dynamics, "pack", spy_pack)
+        for name in ("_class_trotter", "_packed_edge_channel"):
+            monkeypatch.setattr(dynamics, name, self.record(name, getattr(dynamics, name)))
+        monkeypatch.setattr(ChargeClasses, "blocks", self.record("blocks", ChargeClasses.blocks))
+
+    def record(self, name, func):
+        def wrapped(*args, **kwargs):
+            self.calls.append(name)
+            return func(*args, **kwargs)
+        return wrapped
+
+
+def test_one_tiny_off_class_entry_takes_the_dense_path(monkeypatch):
+    rho = random_class_diagonal(np.random.default_rng(9), TOTAL_DIM)
+    tiny = rho.copy()
+    lone = charge_classes().stacks[0][0, 0]
+    tiny[0, lone] = tiny[lone, 0] = 1e-300
+    cfg, spec = TrotterConfig(1.0, 0.1, 1), NoiseSpec("amplitude_damping", 0.01)
+    spy = KernelSpy(monkeypatch)
+    step, noisy, health = trotter_step(rho, cfg), apply_noise_all_edges(rho, spec), hygiene(rho)
+    assert spy.packed == [True] * 3
+    spy.packed.clear()
+    spy.calls.clear()
+    tiny_step, tiny_noisy = trotter_step(tiny, cfg), apply_noise_all_edges(tiny, spec)
+    tiny_health = hygiene(tiny)
+    assert spy.packed == [False] * 3 and spy.calls == []
+    assert np.max(np.abs(tiny_step - step)) <= 1e-15
+    assert np.array_equal(class_blocks_of(tiny_noisy), noisy)
+    assert np.max(np.abs(tiny_noisy - noisy)) <= 1e-300
+    assert tiny_health[:2] == health[:2]
+    assert abs(tiny_health[2] - health[2]) <= 1e-15
+
+
+def test_uncooled_runs_step_on_the_packed_kernels(monkeypatch, tmp_path):
+    """Every uncooled step is packed; a cooled run packs only its first step,
+    whose input is the vacuum: cooling leaves weight off the classes."""
+    spy = KernelSpy(monkeypatch)
+    for state in uncooled_states("amplitude_damping", steps=3)[1::2]:
+        hygiene(state)
+    assert spy.packed == [True] * 9
+    step = ["_class_trotter", "blocks", "blocks", *["_packed_edge_channel"] * N_EDGES]
+    assert spy.calls == step * 3 + ["blocks"] * 3
+    for cool, packed in (("off", [True, True] * 3), ("on", [True, True] + [False, False] * 2)):
+        spy.packed.clear()
+        argv = ["evolve", "--rate", "0.01", "--cool", cool, "--steps", "3", "--time", "0.3"]
+        assert main([*argv, "--out", str(tmp_path / f"{cool}.csv")]) == 0
+        assert spy.packed == packed
 
 
 # ---------------------------------------------------------------- fidelity

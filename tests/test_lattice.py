@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 
 from gaugecool.dynamics import (
+    NoiseSpec,
+    TrotterConfig,
     amplitude_damping_channel,
     apply_edge_kraus,
+    apply_noise_all_edges,
     depolarizing_channel,
+    hygiene,
+    trotter_step,
     trotter_unitary,
+    _packed_edge_maps,
 )
 from gaugecool.hamiltonian import haar_mc_oracle, magnetic_plaquette_matrix
 from gaugecool.lattice import (
@@ -16,6 +22,7 @@ from gaugecool.lattice import (
     _pair_generators,
     TOTAL_DIM,
     build_cg_basis,
+    charge_classes,
     edge_basis,
     edge_state_index,
     embed_edge_operator,
@@ -24,11 +31,13 @@ from gaugecool.lattice import (
     gauge_generator,
     lift_pair,
     local_view,
+    pack,
     pair_cg_basis,
     pair_edges,
     physical_subspace_basis,
     product_index,
     singlet_projector,
+    unpack,
     vacuum_state,
     vertex_edges,
 )
@@ -122,6 +131,66 @@ def test_local_view_axes_and_writes():
     local_view(out, (1,))[3, 4, 0, 0, 0, 0, 0, 0] = 1.0
     assert out[product_index(0, 3, 0, 0), product_index(0, 4, 0, 0)] == 1.0
     assert np.count_nonzero(out) == 1
+
+
+def test_charge_classes_are_the_joint_gz_eigenspaces():
+    """The classes are derived here from the dense G_z^v, then counted."""
+    gz = np.stack([np.diag(gauge_generator(v, "z")) for v in range(4)], axis=1)
+    for v in range(4):
+        assert np.count_nonzero(gauge_generator(v, "z")) == np.count_nonzero(gz[:, v])
+    labels = {}
+    for state, charges in enumerate(map(tuple, gz.real)):
+        labels.setdefault(charges, []).append(state)
+    want = sorted(labels.values(), key=lambda c: (len(c), c))
+    classes = charge_classes()
+    got = sorted((list(c) for idx in classes.stacks for c in idx), key=lambda c: (len(c), c))
+    assert got == want
+    sizes = {len(c): sum(len(d) == len(c) for d in want) for c in want}
+    assert len(want) == 281
+    assert sizes == {1: 112, 2: 112, 4: 32, 5: 16, 8: 8, 17: 1}
+    assert len(classes.positions) == sum(len(c) ** 2 for c in want) == 2273
+    # stacks by size ascending, and positions stack by stack, each block row-major
+    assert [idx.shape[1] for idx in classes.stacks] == sorted(sizes)
+    blocks = [(idx[:, :, None] * TOTAL_DIM + idx[:, None, :]).ravel() for idx in classes.stacks]
+    assert np.array_equal(classes.positions, np.concatenate(blocks))
+
+
+def class_diagonal(rng):
+    """A random complex matrix that is zero off the charge classes."""
+    rho = np.zeros(TOTAL_DIM * TOTAL_DIM, dtype=complex)
+    positions = charge_classes().positions
+    rho[positions] = rng.normal(size=len(positions)) + 1j * rng.normal(size=len(positions))
+    return rho.reshape(TOTAL_DIM, TOTAL_DIM)
+
+
+def test_pack_round_trip_and_views():
+    rho = class_diagonal(np.random.default_rng(5))
+    classes = charge_classes()
+    packed = pack(rho)
+    assert np.array_equal(unpack(packed), rho)
+    assert np.array_equal(pack(np.asfortranarray(rho)), packed)
+    for idx, block in zip(classes.stacks, classes.blocks(packed)):
+        assert np.array_equal(block, rho[idx[:, :, None], idx[:, None, :]])
+    real = rho.real.copy()
+    assert np.array_equal(unpack(pack(real)), real)
+
+
+def test_pack_refuses_any_weight_off_the_classes():
+    rho = class_diagonal(np.random.default_rng(6))
+    off = (0, charge_classes().stacks[0][0, 0])  # the vacuum and a lone state
+    for value in (1e-300, -5e-324, 1e-300j, np.nan, np.inf):
+        bad = rho.copy()
+        bad[off] = value
+        assert pack(bad) is None
+    # -0.0 is zero: a negative zero off the classes still packs
+    signed = rho.copy()
+    signed[off] = complex(-0.0, -0.0)
+    assert np.array_equal(pack(signed), pack(rho))
+    # a NaN on the classes packs, and the kernels' own checks see it
+    on = rho.copy()
+    on[0, 0] = np.nan
+    assert np.count_nonzero(np.isnan(pack(on))) == 1
+    assert pack(np.zeros((TOTAL_DIM, TOTAL_DIM - 1))) is None
 
 
 def test_lift_pair_matches_kron_embedding():
@@ -253,10 +322,15 @@ def test_gauge_casimir_is_the_sum_of_squared_generators():
 
 
 def test_dense_operator_builders_retain_no_dense_array():
-    """No cache keeps a dense 625x625 operator once its caller drops it, and
-    cooling on the support one sweep proves keeps only its small index maps."""
+    """No cache keeps a dense 625x625 operator once its caller drops it;
+    cooling on the support one sweep proves, and the class-packed Trotter
+    step, noise and hygiene, keep only their small index maps."""
     vac = vacuum_state()
     noisy = depolarizing_channel(np.outer(vac, vac.conj()), 0, 0.05)
+    assert pack(noisy) is not None
+    # built inside the window, whatever ran before
+    charge_classes.cache_clear()
+    _packed_edge_maps.cache_clear()
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -272,11 +346,19 @@ def test_dense_operator_builders_retain_no_dense_array():
             build_cg_basis(v)
         report = iterative_cooling(noisy, max_sweeps=3)[1]
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        unpacked = tracemalloc.get_traced_memory()[0]
+        stepped = trotter_step(noisy, TrotterConfig(g2=1.0, total_time=0.37, n_steps=1))
+        hygiene(apply_noise_all_edges(stepped, NoiseSpec("amplitude_damping", 0.01)))
+        del stepped
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
     finally:
         if started:
             tracemalloc.stop()
-    assert retained < TOTAL_DIM**2 * np.dtype(complex).itemsize
+    assert after - before < TOTAL_DIM**2 * np.dtype(complex).itemsize
+    # the packed path's caches hold O(2,273) entries: less than a byte per
+    # entry of a 625x625 lookup table
+    assert after - unpacked < TOTAL_DIM**2
     assert report.sweeps_used == 3
 
 
