@@ -22,13 +22,20 @@ import argparse
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .cooling import CoolingReport, _check_cooling_parameters, gi_overlap, iterative_cooling
+from .cooling import _cool_entries, _entry_overlap, _pattern, _swept
 from .dynamics import (
     NoiseSpec,
     TrotterConfig,
+    _block_trotter,
+    _block_trotter_step,
+    _noise_closure,
+    _packed_edge_maps,
+    _packed_noise,
     apply_noise_all_edges,
     fidelity,
     trotter_step,
@@ -48,7 +55,7 @@ from .klaudit import (
     residual_pauli_weights,
     wigner_eckart_residual,
 )
-from .lattice import gauge_casimir, vacuum_state
+from .lattice import TOTAL_DIM, gauge_casimir, vacuum_state
 from .tdesign import (
     binary_octahedral_design,
     discrete_syndrome_check,
@@ -118,27 +125,73 @@ def _warn_unconverged(reports: list[CoolingReport], tol: float) -> None:
 # evolve / converge
 
 
+@lru_cache(maxsize=4)
+def _cooled_maps(g2: float, dt: float):
+    """The maps of a cooled step at (g2, dt): the swept entries' places in
+    the block of the states U reaches from theirs, that block's Trotter
+    step, the block's places in the noisy pattern (its ``_noise_closure``),
+    the noise maps there, and the noisy pattern's maps."""
+    swept = _swept().positions
+    ket, bra = np.divmod(swept, TOTAL_DIM)
+    reached, step = _block_trotter(g2, dt, np.flatnonzero(np.bincount(ket, minlength=TOTAL_DIM)))
+    ket, bra = np.searchsorted(reached, ket), np.searchsorted(reached, bra)
+    block = (reached[:, None] * TOTAL_DIM + reached).ravel()
+    noisy = _noise_closure(block)
+    return ket * len(reached) + bra, step, np.searchsorted(noisy, block), \
+        _packed_edge_maps(noisy), _pattern(noisy, swept)
+
+
+def _cooled_step(x: np.ndarray, trotter: TrotterConfig, noise: NoiseSpec, tol: float,
+                 max_sweeps: int):
+    """A Trotter step, edge noise and ``iterative_cooling`` of rho held on
+    the swept pattern, on fixed entry patterns and with the dense steps'
+    bits.  Returns rho's entry vector, the ``_Pattern`` it is held on (the
+    swept one unless no sweep ran) and the cooling report."""
+    held_at, step, block_at, edges, noisy = _cooled_maps(trotter.g2, trotter.dt)
+    n = len(step[0])
+    held = np.zeros(n * n, dtype=complex)
+    held.put(held_at, x[:-1])
+    stepped = np.zeros(len(noisy.positions), dtype=complex)
+    stepped.put(block_at, _block_trotter_step(held.reshape(n, n), *step))
+    x = np.append(_packed_noise(stepped, edges, noise), 0)
+    x, report = _cool_entries(x, noisy, [_entry_overlap(x, noisy)], tol, max_sweeps)
+    return x, _swept() if report.sweeps_used else noisy, report
+
+
 def cmd_evolve(cfg: RunConfig) -> int:
     """Trotter steps with noise after each one; cooling if requested.
 
     The noiseless reference state is advanced in parallel so the fidelity
     column always compares against the ideal trajectory at the same time.
+    With cooling, rho is held on the swept pattern between steps, from the
+    vacuum on; a step that needs no sweep leaves it off that pattern, and
+    the dense steps take over.
     """
     trotter = TrotterConfig(g2=cfg.g2, total_time=cfg.total_time, n_steps=cfg.n_steps)
     noise = cfg.noise_spec()
     psi = vacuum_state()
-    rho = np.outer(psi, psi.conj())
-    rows = []
-    reports = []
+    rho = held = None
+    if cfg.cool:  # |0><0| is the swept pattern's first entry
+        held = np.zeros(len(_swept().positions) + 1, dtype=complex)
+        held[0] = 1.0
+    else:
+        rho = np.outer(psi, psi.conj())
+    rows, reports, sweeps = [], [], 0
     for step in range(1, cfg.n_steps + 1):
         psi = trotter_step_state(psi, trotter)
-        rho = trotter_step(rho, trotter)
-        rho = apply_noise_all_edges(rho, noise)
-        sweeps = 0
+        if held is not None:
+            held, pattern, report = _cooled_step(held, trotter, noise, cfg.tol, cfg.max_sweeps)
+            rho = np.zeros(TOTAL_DIM**2, dtype=complex)  # fresh each step: a reader may keep it
+            rho[pattern.positions] = held[:-1]
+            rho = rho.reshape(TOTAL_DIM, TOTAL_DIM)
+            held = held if report.sweeps_used else None
+        else:
+            rho = apply_noise_all_edges(trotter_step(rho, trotter), noise)
+            if cfg.cool:
+                rho, report = iterative_cooling(rho, tol=cfg.tol, max_sweeps=cfg.max_sweeps)
         if cfg.cool:
-            rho, report = iterative_cooling(rho, tol=cfg.tol, max_sweeps=cfg.max_sweeps)
-            sweeps = report.sweeps_used
             reports.append(report)
+            sweeps = report.sweeps_used
         rows.append(
             f"{step},{_fmt(step * trotter.dt)},{_fmt(fidelity(rho, psi))},"
             f"{_fmt(gi_overlap(rho))},{sweeps}"

@@ -35,14 +35,16 @@ The dense 625-dim references (``recovery_kraus`` and ``syndrome_operator``)
 are these pair operators lifted by ``lattice.lift_pair``; the kernels are
 tested against them.
 
-One sweep leaves any rho on a fixed set of 31 basis states, and every later
-vertex stage stays inside a union of 45 (``_support_maps`` derives both by
-pushing the k's nonzero pattern through a sweep).  ``iterative_cooling``
-therefore refuses a rho with a non-finite entry, runs sweep 0 with the
-dense kernel, cuts the 31-state block out of rho, and runs every later sweep
-and every overlap read after sweep 0 on the 45x45 block with the same pair
-superoperator, through flat index maps; the block goes back into rho once,
-at the end.
+One sweep leaves any rho on a fixed pattern of 459 entries between 31
+basis states (``_swept`` derives it by pushing the superoperator's nonzeros
+through a sweep from every entry).  ``iterative_cooling`` therefore refuses
+a rho with a non-finite entry, runs sweep 0 with the dense kernel, cuts the
+459 entries out of rho, and runs every later sweep and overlap read on them
+as an entry vector, through flat index maps (``_Pattern``): each vertex
+stage multiplies the superoperator's 25 connected blocks (``_pair_blocks``)
+with entries gathered from the vector, which gives the dense kernel's bits.
+A cooled ``evolve`` step runs its sweep 0 the same way, on the entries that
+its noise can write.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .lattice import (
     N_EDGES,
     N_VERTICES,
     TOTAL_DIM,
+    _components,
     lift_pair,
     local_view,
     pair_cg_basis,
@@ -289,137 +292,238 @@ def gi_overlap(rho: np.ndarray) -> float:
     return sum(_sector_weights(rho, v)[0, 0] for v in range(N_VERTICES)) / N_VERTICES
 
 
-class _SupportMaps(NamedTuple):
-    """Where one sweep leaves rho, and the flat index maps that cool it there."""
+class _Stage(NamedTuple):
+    """The recovery at one vertex on rho held as an entry vector: rho's
+    values on a pattern's entries, in its order, then one zero that stands
+    for every entry outside.  ``gather[c, i, j]`` is the input position that
+    column i of block c (``_pair_blocks``) reads at the block's j-th
+    spectator pair (ket, bra); ``keep`` lists the products that can be
+    nonzero, flat over (blocks, rows, spectator pairs), and ``target``
+    their output positions."""
 
-    settled: np.ndarray  # the states rho can hold after any full sweep
-    states: np.ndarray  # the states any later vertex stage can hold
-    stages: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # per vertex
-    overlap: tuple[tuple[np.ndarray, np.ndarray], ...]  # per vertex
+    vertex: int
+    gather: np.ndarray
+    keep: np.ndarray
+    target: np.ndarray
+    size: int  # entries of the output pattern
+
+
+class _Pattern(NamedTuple):
+    """Sorted flat entries row * 625 + col that rho is held on, and the maps
+    that read its overlap and sweep it onto the swept pattern."""
+
+    positions: np.ndarray
+    overlap: tuple[tuple[np.ndarray, np.ndarray], ...]  # per vertex: (read, slot)
+    sweep: tuple[_Stage, ...]
+
+
+class _PairBlocks(NamedTuple):
+    """The pair superoperator split into the connected blocks of its nonzero
+    pattern, 25 of at most 4 rows and 6 columns, padded with zeros to one
+    shape.  A row's nonzeros all lie in its block, in the same order, so a
+    product on the blocks adds the terms of the product on the whole 81x113
+    block less exact zeros, which BLAS adds exactly: the same bits."""
+
+    rows: np.ndarray  # (count, height): the pair entry pk * 25 + pb a row writes
+    columns: np.ndarray  # (count, width): the pair entry a column reads
+    slot: np.ndarray  # per pair entry, its column's flat place c * width + i, or -1
+    block: np.ndarray  # (count, height, width)
+
+
+def _ranks(groups: np.ndarray) -> np.ndarray:
+    """Each item's place among the items of its group, in item order."""
+    order = np.argsort(groups, kind="stable")
+    counts = np.bincount(groups)
+    ranks = np.empty_like(groups)
+    ranks[order] = np.arange(len(groups)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return ranks
 
 
 @lru_cache(maxsize=1)
-def _support_maps() -> _SupportMaps:
-    """Derive the support of a swept rho from the pair Kraus operators.
-
-    Each of the 625 states is a (pair index, spectator index) coordinate at
-    every vertex (``lattice.pair_edges`` order).  The channel at v sends a
-    ket onto the pair rows that some k_{J,N} reaches from it, spectators
-    kept, so pushing the union of the k's nonzero patterns through one sweep
-    from all 625 states gives every state a swept rho can hold, ``settled``;
-    one more sweep maps it onto itself, and ``states`` is the union of that
-    sweep's stages.
-
-    rho restricted to ``states`` lives in a flat (n+1) x (n+1) buffer whose
-    last row and column stay zero and stand for every state outside.  Per
-    vertex, ``stages`` holds the buffer positions of the
-    ``_pair_superoperator`` columns over the spectators the stage's input
-    holds, then which of its output rows land inside, and where.
-    ``overlap`` holds, per vertex, the buffer positions and pair-matrix
-    slots that the reduced pair state sums, in the dense read's order.
-    """
-    pattern = np.zeros((EDGE_DIM**2, EDGE_DIM**2), dtype=bool)
-    for _, k in _pair_kraus():
-        pattern |= k != 0
-    grid = np.arange(TOTAL_DIM).reshape((EDGE_DIM,) * N_EDGES)
-    # at[v][p, s]: the state with pair index p and spectator index s at v
-    at = [grid.transpose(pair_edges(v)).reshape(EDGE_DIM**2, -1) for v in range(N_VERTICES)]
-
-    def cool(held: np.ndarray, v: int) -> np.ndarray:
-        out = np.zeros(TOTAL_DIM, dtype=bool)
-        out[at[v]] = pattern @ held[at[v]]
-        return out
-
-    held = np.ones(TOTAL_DIM, dtype=bool)
-    for v in range(N_VERTICES):
-        held = cool(held, v)
-    settled, inputs = np.flatnonzero(held), []
-    for v in range(N_VERTICES):
-        inputs.append(held)
-        held = cool(held, v)
-    if not np.array_equal(np.flatnonzero(held), settled):
-        raise AssertionError("a sweep does not map the swept support onto itself")
-    states = np.flatnonzero(np.any(inputs, axis=0))
-    n = len(states)
-    where = np.full(TOTAL_DIM, n)  # buffer row of each state, n outside
-    where[states] = np.arange(n)
-
-    def locate(pairs: np.ndarray, v: int, spectators: np.ndarray):
-        """Buffer positions of (pair ket, pair bra) x (spectator ket,
-        spectator bra), and which of them lie inside."""
-        (ket_pair, bra_pair), s = np.divmod(pairs, EDGE_DIM**2), spectators
-        ket = where[at[v][ket_pair[:, None, None], s[:, None]]]
-        bra = where[at[v][bra_pair[:, None, None], s]]
-        shape = (len(pairs), -1)
-        return (ket * (n + 1) + bra).reshape(shape), ((ket < n) & (bra < n)).reshape(shape)
-
+def _pair_blocks() -> _PairBlocks:
+    """``_pair_superoperator`` split by the components of its nonzero graph."""
     rows, cols, block = _pair_superoperator()
-    to_row, from_col = np.nonzero(block)
-    stages = []
-    for v, held_in in enumerate(inputs):
-        spectators = np.flatnonzero(held_in[at[v]].any(axis=0))
-        gather, read = locate(cols, v, spectators)
-        target, inside = locate(rows, v, spectators)
-        if np.any(read[from_col] & ~inside[to_row]):
-            raise AssertionError("the recovery writes outside the support")
-        keep = np.flatnonzero(inside)
-        stages.append((gather, keep, target.ravel()[keep]))
-
-    overlap = []
-    for v in range(N_VERTICES):
-        # each state's (pair, spectator) at v; at[v] is a permutation
-        pair, spectator = (c[states] for c in np.divmod(np.argsort(at[v], axis=None), EDGE_DIM**2))
-        # states ascending: each slot adds its terms spectator by spectator,
-        # in the order the dense read sums them
-        i, j = np.nonzero(spectator[:, None] == spectator)
-        overlap.append((i * (n + 1) + j, pair[i] * EDGE_DIM**2 + pair[j]))
-    maps = _SupportMaps(settled, states, tuple(stages), tuple(overlap))
-    for a in (settled, states, *(a for maps_v in (*maps.stages, *maps.overlap) for a in maps_v)):
+    nonzero = block != 0
+    n = len(rows)
+    graph = np.zeros((n + len(cols),) * 2, dtype=bool)
+    graph[:n, n:], graph[n:, :n] = nonzero, nonzero.T
+    labels = _components(len(graph), *np.nonzero(graph))
+    # every block holds a row, and rows come first: its label is its first row
+    of = np.searchsorted(np.flatnonzero(np.bincount(labels[:n], minlength=n)), labels)
+    row_at, col_at = _ranks(of[:n]), _ranks(of[n:])
+    stack = np.zeros((of.max() + 1, row_at.max() + 1, col_at.max() + 1), dtype=complex)
+    r, k = np.nonzero(nonzero)
+    stack[of[r], row_at[r], col_at[k]] = block[r, k]
+    pair_rows, pair_cols = np.zeros(stack.shape[:2], int), np.zeros(stack.shape[::2], int)
+    pair_rows[of[:n], row_at], pair_cols[of[n:], col_at] = rows, cols
+    slot = np.full(EDGE_DIM**4, -1)
+    slot[cols] = of[n:] * stack.shape[2] + col_at
+    blocks = _PairBlocks(pair_rows, pair_cols, slot, stack)
+    for a in blocks:
         a.setflags(write=False)
-    return maps
+    return blocks
 
 
-def _settled_block(rho: np.ndarray) -> np.ndarray:
-    """Move a swept rho into the support buffer: its settled block is cut
-    out of rho (left zero) into the flat (n+1)^2 buffer, which is returned.
-
-    Raises ValueError if rho is not finite, and AssertionError if any weight
-    lies off the settled states, which ``_support_maps`` proves a sweep
-    cannot leave."""
-    maps = _support_maps()
-    at = np.ix_(maps.settled, maps.settled)
-    block = rho[at]
-    rho[at] = 0
-    off = rho.any()
-    if off and np.isfinite(rho).all():
-        raise AssertionError("a sweep left weight off the settled states")
-    if off or not np.isfinite(block).all():
-        raise ValueError("rho has non-finite entries")
-    n = len(maps.states)
-    small = np.zeros((n + 1, n + 1), dtype=complex)
-    inside = np.searchsorted(maps.states, maps.settled)
-    small[np.ix_(inside, inside)] = block
-    return small.ravel()
+@lru_cache(maxsize=1)
+def _state_layout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(at, pair, spectator): at[v, p, s] is the state with pair index p and
+    spectator index s at v (``lattice.pair_edges`` order); pair[v, state]
+    and spectator[v, state] are that state's p and s."""
+    grid = np.arange(TOTAL_DIM).reshape((EDGE_DIM,) * N_EDGES)
+    at = np.stack([grid.transpose(pair_edges(v)).reshape(EDGE_DIM**2, -1)
+                   for v in range(N_VERTICES)])
+    pair, spectator = np.divmod(np.argsort(at.reshape(N_VERTICES, -1), axis=1), EDGE_DIM**2)
+    for a in (at, pair, spectator):
+        a.setflags(write=False)
+    return at, pair, spectator
 
 
-def _cool_block(small: np.ndarray, v: int) -> None:
-    """``_cool_into`` at vertex v on rho held in the support buffer."""
-    gather, keep, target = _support_maps().stages[v]
-    cooled = _pair_superoperator()[2] @ small.take(gather)
-    small[:] = 0
-    small.put(target, cooled.take(keep))
+def _pair_coordinates(positions: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's pair entry pk * 25 + pb and spectator pair sk * 25 + sb at v."""
+    _, pair, spectator = (a[v] for a in _state_layout())
+    ket = positions // TOTAL_DIM  # floor division by a constant is fast; divmod is not
+    bra = positions - ket * TOTAL_DIM
+    return pair[ket] * EDGE_DIM**2 + pair[bra], spectator[ket] * EDGE_DIM**2 + spectator[bra]
 
 
-def _block_overlap(small: np.ndarray) -> float:
-    """``gi_overlap`` of rho held in the support buffer: each reduced pair
-    state summed in the order the dense read sums it."""
+def _reach(held: np.ndarray, pairs: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean propagation through the recovery at v, no cancellation
+    assumed: ``held[c, i, j]`` says that column i of block c can be nonzero
+    at spectator pair ``pairs[c, j]``.  Returns the products that a nonzero
+    reaches from a held entry, flat over (blocks, rows, pairs), and the flat
+    entries they write."""
+    blocks = _pair_blocks()
+    keep = np.flatnonzero((blocks.block != 0) @ held)
+    c, i, j = np.unravel_index(keep, (len(held), blocks.rows.shape[1], held.shape[2]))
+    (pk, pb), (sk, sb) = (np.divmod(a, EDGE_DIM**2) for a in (blocks.rows[c, i], pairs[c, j]))
+    at = _state_layout()[0][v]
+    return keep, at[pk, sk] * TOTAL_DIM + at[pb, sb]
+
+
+def _stage(held: np.ndarray, v: int, into: np.ndarray | None = None):
+    """The recovery at v on rho held on the sorted entries ``held``: its
+    ``_Stage`` and the sorted entries it can write.  Each block reads the
+    spectator pairs that a held entry has under one of its columns.  With
+    ``into`` the entries written must lie on it, and the stage writes onto it."""
+    blocks = _pair_blocks()
+    count, _, width = blocks.block.shape
+    pair, spectator = _pair_coordinates(held, v)
+    read = np.flatnonzero(blocks.slot[pair] >= 0)
+    column = blocks.slot[pair[read]]
+    key = column // width * EDGE_DIM**4 + spectator[read]
+    keys = np.flatnonzero(np.bincount(key, minlength=count * EDGE_DIM**4))
+    owner, spectators = np.divmod(keys, EDGE_DIM**4)
+    place = np.zeros(count * EDGE_DIM**4, dtype=int)
+    place[keys] = _ranks(owner)
+    # two spectator pairs a block at least: matmul then calls gemm, as the dense kernel does
+    depth = max(2, np.bincount(owner, minlength=count).max())
+    gather = np.full((count * width, depth), len(held))
+    gather[column, place[key]] = read
+    gather = gather.reshape(count, width, depth)
+    pairs = np.zeros((count, depth), dtype=int)
+    pairs[owner, place[keys]] = spectators
+    keep, out = _reach(gather < len(held), pairs, v)
+    if into is None:
+        order = np.argsort(out)
+        into, target = out[order], np.empty_like(order)
+        target[order] = np.arange(len(order))
+    else:
+        target = np.searchsorted(into, out)
+        if np.any(target == len(into)) or not np.array_equal(into[target], out):
+            raise AssertionError("the recovery writes outside the pattern")
+    stage = _Stage(v, gather, keep, target, len(into))
+    for a in stage[1:-1]:
+        a.setflags(write=False)
+    return stage, into
+
+
+def _pattern(positions: np.ndarray, swept: np.ndarray) -> _Pattern:
+    """The maps of rho held on ``positions``: per vertex, the entries whose
+    spectator ket and bra agree, which the reduced pair state sums at each
+    pair slot in position order, that is spectator by spectator as the dense
+    read sums them; and one sweep, whose last stage writes onto ``swept``."""
+    overlap, stages, held = [], [], positions
+    for v in range(N_VERTICES):
+        pair, spectator = _pair_coordinates(positions, v)
+        # spectator ket = bra: sk * 26, found without the slow integer %
+        read = np.flatnonzero(spectator // (EDGE_DIM**2 + 1) * (EDGE_DIM**2 + 1) == spectator)
+        overlap.append((read, pair[read]))
+        stage, held = _stage(held, v, swept if v == N_VERTICES - 1 else None)
+        stages.append(stage)
+    for a in (positions, *(a for pair in overlap for a in pair)):
+        a.setflags(write=False)
+    return _Pattern(positions, tuple(overlap), tuple(stages))
+
+
+@lru_cache(maxsize=1)
+def _swept() -> _Pattern:
+    """The swept pattern: every entry that one sweep from any rho can write.
+
+    Whatever rho holds, the recovery at v0 can write every row over every
+    spectator pair, that is every (ket, bra) of the states whose pair index
+    at v0 is a row's ket; the other three stages propagate that.  The
+    pattern's own sweep must write onto it again, which ``_stage`` checks."""
+    blocks = _pair_blocks()
+    at = _state_layout()[0]
+    states = np.zeros(TOTAL_DIM, dtype=bool)
+    states[at[0][_pair_superoperator()[0] // EDGE_DIM**2]] = True
+    on = states[at[1]]  # on[p, s]: the state with pair index p and spectator s at v1
+    ket, bra = np.divmod(blocks.columns, EDGE_DIM**2)
+    held = (on[ket][..., None] & on[bra][..., None, :]).reshape(*ket.shape, -1)
+    held = np.sort(_reach(held, np.broadcast_to(np.arange(EDGE_DIM**4), held.shape[::2]), 1)[1])
+    for v in range(2, N_VERTICES):
+        held = _stage(held, v)[1]
+    return _pattern(held, held)
+
+
+def _cool_stage(x: np.ndarray, stage: _Stage) -> np.ndarray:
+    """``_cool_into`` at stage.vertex on rho held as an entry vector."""
+    cooled = _pair_blocks().block @ x.take(stage.gather)
+    out = np.zeros(stage.size + 1, dtype=complex)
+    out.put(stage.target, cooled.take(stage.keep))
+    return out
+
+
+def _entry_overlap(x: np.ndarray, pattern: _Pattern) -> float:
+    """``gi_overlap`` of rho held on pattern, with the bits of the dense read."""
     projector = _pair_projectors()[0, 0]
     total = 0
-    for read, slot in _support_maps().overlap:
+    for read, slot in pattern.overlap:
         pair = np.zeros(EDGE_DIM**4, dtype=complex)
-        np.add.at(pair, slot, small.take(read))
+        np.add.at(pair, slot, x.take(read))
         total += float(np.real(np.einsum("ij,ji->", projector, pair.reshape(EDGE_DIM**2, -1))))
     return total / N_VERTICES
+
+
+def _cool_entries(x: np.ndarray, pattern: _Pattern, overlaps: list[float], tol: float,
+                  max_sweeps: int) -> tuple[np.ndarray, CoolingReport]:
+    """``iterative_cooling`` on rho held on pattern, whose overlaps so far
+    (x's own last) are given: sweep onto the swept pattern until the overlap
+    exceeds 1 - tol or max_sweeps sweeps have run."""
+    while overlaps[-1] <= 1.0 - tol and len(overlaps) <= max_sweeps:
+        for stage in pattern.sweep:
+            x = _cool_stage(x, stage)
+        pattern = _swept()
+        overlaps.append(_entry_overlap(x, pattern))
+    return x, CoolingReport(overlaps, len(overlaps) - 1, overlaps[-1] > 1.0 - tol)
+
+
+def _swept_entries(rho: np.ndarray) -> np.ndarray:
+    """Cut a swept C-contiguous rho out onto the swept pattern: its values
+    there, and the trailing zero, as an entry vector; rho is left zero.
+
+    Raises ValueError if rho is not finite, and AssertionError if any weight
+    lies off the swept pattern, which ``_swept`` proves a sweep cannot
+    leave."""
+    positions = _swept().positions
+    x = np.append(rho.take(positions), 0)
+    rho.put(positions, 0)
+    off = rho.any()
+    if off and np.isfinite(rho).all():
+        raise AssertionError("a sweep left weight off the swept pattern")
+    if off or not np.isfinite(x).all():
+        raise ValueError("rho has non-finite entries")
+    return x
 
 
 def _check_cooling_parameters(tol: float, max_sweeps: int) -> None:
@@ -435,31 +539,22 @@ def iterative_cooling(
     """Sweep until the GI overlap exceeds 1 - tol or max_sweeps is reached.
 
     A rho with a non-finite entry is a ValueError.  Sweep 0 is dense; the
-    later sweeps and every overlap after it run on the block of the support
-    one sweep proves."""
+    later sweeps and every overlap after it run on the entries that one
+    sweep provably leaves (``_swept``)."""
     _check_cooling_parameters(tol, max_sweeps)
     # the kernels read only some entries, so a NaN elsewhere would be dropped
     if not np.isfinite(rho).all():
         raise ValueError("rho has non-finite entries")
     overlaps = [gi_overlap(rho)]
-    if overlaps[0] <= 1.0 - tol:
-        # one working copy that sweep 0 cools in place: a fresh 6.25 MB
-        # array per vertex costs a page fault per 4 kB page it touches
-        rho = np.array(rho, dtype=complex, order="C")
-        for v in range(N_VERTICES):
-            _cool_into(rho, rho, v)
-        small = _settled_block(rho)
-        overlaps.append(_block_overlap(small))
-        while overlaps[-1] <= 1.0 - tol and len(overlaps) <= max_sweeps:
-            for v in range(N_VERTICES):
-                _cool_block(small, v)
-            overlaps.append(_block_overlap(small))
-        states = _support_maps().states
-        n = len(states)
-        rho[np.ix_(states, states)] = small.reshape(n + 1, n + 1)[:n, :n]
-    report = CoolingReport(
-        overlaps=overlaps,
-        sweeps_used=len(overlaps) - 1,
-        converged=overlaps[-1] > 1.0 - tol,
-    )
+    if overlaps[0] > 1.0 - tol:
+        return rho, CoolingReport(overlaps, 0, True)
+    # one working copy that sweep 0 cools in place: a fresh 6.25 MB array
+    # per vertex costs a page fault per 4 kB page it touches
+    rho = np.array(rho, dtype=complex, order="C")
+    for v in range(N_VERTICES):
+        _cool_into(rho, rho, v)
+    x = _swept_entries(rho)
+    overlaps.append(_entry_overlap(x, _swept()))
+    x, report = _cool_entries(x, _swept(), overlaps, tol, max_sweeps)
+    rho.put(_swept().positions, x[:-1])
     return rho, report

@@ -21,8 +21,11 @@ exactly zero between classes.  ``trotter_step``, ``apply_noise_all_edges``
 and ``hygiene`` therefore first try ``lattice.pack``; on its 2,273 entries
 they run one batched U_c rho_c U_c^dagger per class size, the four edges as
 fixed index arithmetic, and one ``eigvalsh`` per class stack.  Any other
-input, such as a cooled rho, takes the dense code, which is also the tests'
-oracle.  The choice rests on that exact property of the input alone.
+input takes the dense code, which is also the tests' oracle.  The choice
+rests on that exact property of the input alone.  A cooled ``evolve`` step
+calls the kernels below these functions on its own entry patterns:
+``_block_trotter_step`` and the edge arithmetic on any pattern that
+``_noise_closure`` closes.
 
 Noise is applied edge-locally at the channel (Kraus) level:
 
@@ -32,8 +35,8 @@ Noise is applied edge-locally at the channel (Kraus) level:
 
 Both have one closed form, ``_edge_channel`` on ``lattice.local_view``: scale
 the edge's (ket, bra) entries, then add a pooled edge population onto the
-edge's diagonal; ``_packed_edge_channel`` does the same arithmetic on the
-packed entries, so both paths give the same bits.  ``apply_edge_kraus`` is
+edge's diagonal; ``_packed_noise`` does the same arithmetic on the packed
+entries, so both paths give the same bits.  ``apply_edge_kraus`` is
 the Kraus-sum reference.
 
 Density matrices are plain 625x625 complex arrays; every channel here is
@@ -54,6 +57,7 @@ from .lattice import (
     TOTAL_DIM,
     _blocks_by_size,
     _check_edge,
+    _components,
     charge_classes,
     local_view,
     pack,
@@ -118,27 +122,6 @@ def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
     return (evecs * np.exp(-1j * t * evals)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
 
-def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Connected-component label of each of n nodes: the smallest node index
-    in the node's component.  (rows, cols) lists the edges in both directions,
-    sorted by row, as ``np.nonzero`` gives them for a symmetric mask.
-
-    Label propagation (each node takes its neighbours' smallest label) with
-    pointer jumping between rounds; a label is always a node of the same
-    component, so the fixed point is the component minimum."""
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    linked = rows[starts]
-    labels = np.arange(n)
-    while True:
-        new = labels.copy()
-        new[linked] = np.minimum(labels[linked], np.minimum.reduceat(labels[cols], starts))
-        while not np.array_equal(jumped := new[new], new):
-            new = jumped
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
-
-
 @lru_cache(maxsize=4)
 def _trotter_factors(g2: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(moved, block, phases) of U at coupling g2.
@@ -171,6 +154,38 @@ def trotter_unitary(g2: float, dt: float) -> np.ndarray:
     u = np.diag(phases)
     u[np.ix_(moved, moved)] = block
     return u
+
+
+def _block_trotter(g2: float, dt: float, states: np.ndarray):
+    """(reached, factors): the sorted states U moves the sorted ``states``
+    onto, and what ``_block_trotter_step`` needs beside rho's block on them.
+    Its products run over all moved states, as the dense step's do, so BLAS
+    sums each entry in the same blocks: the same bits."""
+    moved, block, phases = _trotter_factors(g2, dt)
+    at = np.full(TOTAL_DIM, -1)
+    at[moved] = np.arange(len(moved))
+    reach = np.zeros(TOTAL_DIM, dtype=bool)
+    reach[states] = True
+    reach[moved] |= block[:, reach[moved]].any(axis=1)
+    reached = np.flatnonzero(reach)
+    rows = np.flatnonzero(at[reached] >= 0)
+    place = at[reached[rows]]
+    return reached, (phases[reached], rows, place, block[place], block.conj().T[:, place])
+
+
+def _block_trotter_step(rho: np.ndarray, phases, rows, place, left, right) -> np.ndarray:
+    """``trotter_step``'s dense arithmetic on rho's block on the reached
+    states; ``rows`` places the moved ones in it, ``place`` among all moved."""
+    wide = np.zeros((len(right), len(rho)), dtype=complex)
+    wide[place] = rho[rows]
+    out = rho * phases[:, None]
+    out[rows] = left @ wide
+    wide = np.zeros((len(rho), len(right)), dtype=complex)
+    wide[:, place] = out[:, rows]
+    moved_cols = wide @ right
+    out *= phases.conj()
+    out[:, rows] = moved_cols
+    return out
 
 
 @lru_cache(maxsize=4)
@@ -254,39 +269,66 @@ def _edge_channel(rho: np.ndarray, edge: int, rate: float, form) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
-def _packed_edge_maps() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per edge, ``_edge_channel``'s index arithmetic on a packed rho:
-    (pair, diag).  ``pair`` is each packed entry's edge (ket, bra) index
-    5 * ket + bra into the channel's scale; ``diag[i]`` lists the entries
-    |i><i| on the edge, one per (other kets, other bras) whose entries are on
-    the classes.  Setting the edge's ket and bra to the same i shifts both
-    sides' charges alike, so each such entry has all five i on the classes."""
-    positions = charge_classes().positions
+def _packed_edge_maps(positions: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per edge, ``_edge_channel``'s index arithmetic on rho held on the flat
+    entries ``positions``: (pair, diag).  ``pair`` is each entry's edge (ket,
+    bra) index 5 * ket + bra into the channel's scale; ``diag[i]`` lists the
+    entries |i><i| on the edge, one per (other kets, other bras).  Wherever
+    the positions hold one i they must hold all five, as the charge classes
+    do (the edge shifts both sides' charges alike) and ``_noise_closure``'s."""
     order = np.argsort(positions)
-    row, col = np.divmod(positions, TOTAL_DIM)
+    ascending = positions[order]
     maps = []
     for e in range(N_EDGES):
-        stride = EDGE_DIM ** (N_EDGES - 1 - e)
-        ket, bra = row // stride % EDGE_DIM, col // stride % EDGE_DIM
+        ket, bra, step = _edge_digits(positions, e)
         ground = positions[(ket == 0) & (bra == 0)]
-        diag = ground + (TOTAL_DIM + 1) * stride * np.arange(EDGE_DIM)[:, None]
-        diag = order[np.searchsorted(positions, diag, sorter=order)]
+        diag = order[np.searchsorted(ascending, ground + step * np.arange(EDGE_DIM)[:, None])]
         for a in (pair := ket * EDGE_DIM + bra, diag):
             a.setflags(write=False)
         maps.append((pair, diag))
     return tuple(maps)
 
 
-def _packed_edge_channel(packed: np.ndarray, edge: int, rate: float, form) -> np.ndarray:
-    """``_edge_channel`` on a packed rho, with the same arithmetic entry by entry."""
-    pair, diag = _packed_edge_maps()[edge]
-    scale, pool, targets, weight = form(rate)
-    out = packed * scale.ravel()[pair]
-    fed = weight * sum(packed[diag[j]] for j in pool)
-    for i in targets:
-        out[diag[i]] += fed
-    return out
+def _edge_digits(positions: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each flat entry's (ket, bra) index on edge e, and the flat step from
+    |i><i| to |i+1><i+1| on it."""
+    digit = np.indices((EDGE_DIM,) * N_EDGES)[e].ravel()
+    row = positions // TOTAL_DIM  # floor division by a constant is fast; divmod is not
+    step = (TOTAL_DIM + 1) * EDGE_DIM ** (N_EDGES - 1 - e)
+    return digit[row], digit[positions - row * TOTAL_DIM], step
+
+
+@lru_cache(maxsize=1)
+def _class_edge_maps() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``_packed_edge_maps`` of a class-packed rho."""
+    return _packed_edge_maps(charge_classes().positions)
+
+
+def _noise_closure(positions: np.ndarray) -> np.ndarray:
+    """The sorted entries that edge noise of either kind can write from rho
+    on the flat entries ``positions``: on each edge, all five |i><i| beside
+    any held |j><j|, the other edges' (ket, bra) kept.  Each edge's closure
+    keeps the other edges' indices, so one pass over the edges closes all."""
+    for e in range(N_EDGES):
+        ket, bra, step = _edge_digits(positions, e)
+        ground = (positions - step * ket)[ket == bra]
+        fed = (ground[:, None] + step * np.arange(EDGE_DIM)).ravel()
+        merged = np.sort(np.concatenate([positions, fed]))
+        positions = merged[np.diff(merged, prepend=-1) != 0]
+    return positions
+
+
+def _packed_noise(packed: np.ndarray, edge_maps, spec: NoiseSpec) -> np.ndarray:
+    """``apply_noise_all_edges`` on a packed rho through its
+    ``_packed_edge_maps``: ``_edge_channel``'s arithmetic entry by entry."""
+    scale, pool, targets, weight = _FORMS[spec.kind](spec.rate)
+    for pair, diag in edge_maps:
+        out = packed * scale.ravel()[pair]
+        fed = weight * sum(packed[diag[j]] for j in pool)
+        for i in targets:
+            out[diag[i]] += fed
+        packed = out
+    return packed
 
 
 def _depolarizing_form(p: float):
@@ -329,14 +371,11 @@ def apply_noise_all_edges(rho: np.ndarray, spec: NoiseSpec) -> np.ndarray:
 
     A class-diagonal rho is packed once, and every edge runs on the packed
     entries: the channel keeps each G_z^v class block on its own."""
-    form = _FORMS[spec.kind]
     packed = pack(rho)
     if packed is not None:
-        for e in range(N_EDGES):
-            packed = _packed_edge_channel(packed, e, spec.rate, form)
-        return unpack(packed)
+        return unpack(_packed_noise(packed, _class_edge_maps(), spec))
     for e in range(N_EDGES):
-        rho = _edge_channel(rho, e, spec.rate, form)
+        rho = _edge_channel(rho, e, spec.rate, _FORMS[spec.kind])
     return rho
 
 

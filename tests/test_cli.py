@@ -3,12 +3,23 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gaugecool import cli
 from gaugecool.cli import RunConfig, build_parser, main
+from gaugecool.cooling import _swept, cooling_sweep, iterative_cooling
+from gaugecool.dynamics import (
+    NoiseSpec,
+    TrotterConfig,
+    apply_noise_all_edges,
+    hygiene,
+    trotter_step,
+)
+from gaugecool.lattice import TOTAL_DIM, vacuum_state
 
 # the package source first on the path of a child interpreter, as pytest's
 # pythonpath setting does for this process
@@ -166,6 +177,25 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_set_up_and_a_cooled_step_load_no_numpy_ma():
+    """numpy imports numpy.ma lazily, on the first np.unique call; it costs a
+    process more than a cooled step."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys, gaugecool.cli as cli; "
+         "from gaugecool.dynamics import trotter_unitary; "
+         "trotter_unitary(1.0, 0.1); "
+         "cli.main(['evolve', '--cool', 'on', '--steps', '1', '--time', '0.1', "
+         "'--out', os.devnull]); "
+         "print('numpy.ma' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_kl_audit_tables(tmp_path):
     code, header, rows = run_csv(tmp_path, "kl.csv", ["kl-audit"])
     assert code == 0
@@ -291,3 +321,112 @@ def test_twelve_significant_digits(tmp_path):
     val = rows[1][1]
     assert len(val.replace("-", "").replace(".", "").lstrip("0")) >= 11
     assert float(val) == pytest.approx(1.0 - 6.953027e-3, abs=1e-8)
+
+
+# ---------------------------------------------------------------- cooled steps on entry patterns
+
+
+def dense_cooled_chain(kind, rate, steps, g2=1.0, dt=0.1):
+    """The cooled trajectory through the public dense functions: (rho, report) per step."""
+    trotter = TrotterConfig(g2=g2, total_time=dt * steps, n_steps=steps)
+    vac = vacuum_state()
+    rho, out = np.outer(vac, vac.conj()), []
+    for _ in range(steps):
+        noisy = apply_noise_all_edges(trotter_step(rho, trotter), NoiseSpec(kind, rate))
+        rho, report = iterative_cooling(noisy)
+        out.append((rho, report))
+    return out
+
+
+def cooled_evolve(monkeypatch, tmp_path, argv):
+    """Run a cooled `evolve`, keeping each state it hands to gi_overlap, as
+    the benchmark does, and each cooling report."""
+    states, reports = [], []
+    measure, step, cool = cli.gi_overlap, cli._cooled_step, cli.iterative_cooling
+
+    def keep_state(rho):
+        states.append((rho, rho.copy()))
+        return measure(rho)
+
+    def keep_report(func):
+        def wrapped(*args, **kwargs):
+            out = func(*args, **kwargs)
+            reports.append(out[-1])
+            return out
+        return wrapped
+
+    monkeypatch.setattr(cli, "gi_overlap", keep_state)
+    monkeypatch.setattr(cli, "_cooled_step", keep_report(step))
+    monkeypatch.setattr(cli, "iterative_cooling", keep_report(cool))
+    assert main([*argv, "--cool", "on", "--out", str(tmp_path / "cooled.csv")]) == 0
+    return states, reports
+
+
+@pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
+@pytest.mark.parametrize("rate", [0.0, 0.005, 0.01, 1.0])
+def test_cooled_evolve_follows_the_dense_chain(monkeypatch, tmp_path, kind, rate):
+    argv = ["evolve", "--noise", kind.replace("_", "-"), "--rate", str(rate)]
+    states, reports = cooled_evolve(monkeypatch, tmp_path, argv)
+    want = dense_cooled_chain(kind, rate, 30)
+    assert len(states) == len(reports) == 30
+    for (rho, _), report, (dense, dense_report) in zip(states, reports, want):
+        assert np.max(np.abs(rho - dense)) <= 1e-13
+        assert report.sweeps_used == dense_report.sweeps_used
+        assert report.converged == dense_report.converged
+
+
+def test_evolve_hands_gi_overlap_a_fresh_dense_state_each_step(monkeypatch, tmp_path):
+    """The benchmark reads the final state of a cooled run through the
+    gi_overlap name in cli: one call a step, on a dense rho that nothing
+    writes afterwards."""
+    argv = ["evolve", "--rate", "0.01", "--steps", "3", "--time", "0.3"]
+    states, _ = cooled_evolve(monkeypatch, tmp_path, argv)
+    assert len(states) == 3
+    for rho, seen in states:
+        assert rho.shape == (TOTAL_DIM, TOTAL_DIM) and rho.dtype == complex
+        assert np.array_equal(rho, seen)
+    last = states[-1][0]
+    assert np.max(np.abs(last - dense_cooled_chain("depolarizing", 0.01, 3)[-1][0])) <= 1e-12
+    trace_dev, herm_dev, min_eig = hygiene(last)
+    assert trace_dev < 1e-12 and herm_dev < 1e-12 and min_eig >= -1e-8
+
+
+@pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
+def test_cooled_step_matches_the_dense_steps_on_random_states(kind):
+    """Swept random states, not only the trajectory's."""
+    rng = np.random.default_rng(7)
+    trotter, noise = TrotterConfig(g2=1.3, total_time=0.2, n_steps=1), NoiseSpec(kind, 0.2)
+    positions = _swept().positions
+    for rank in (1, 8, TOTAL_DIM):
+        a = rng.standard_normal((TOTAL_DIM, rank)) + 1j * rng.standard_normal((TOTAL_DIM, rank))
+        rho = cooling_sweep(a @ a.conj().T / np.linalg.norm(a) ** 2)
+        x = np.append(rho.take(positions), 0)
+        out, pattern, report = cli._cooled_step(x, trotter, noise, 1e-15, 3)
+        noisy = apply_noise_all_edges(trotter_step(rho, trotter), noise)
+        want, dense_report = iterative_cooling(noisy, tol=1e-15, max_sweeps=3)
+        got = np.zeros(TOTAL_DIM**2, dtype=complex)
+        got[pattern.positions] = out[:-1]
+        assert np.max(np.abs(got.reshape(TOTAL_DIM, TOTAL_DIM) - want)) <= 1e-13
+        assert report.sweeps_used == dense_report.sweeps_used >= 1
+        assert report.overlaps == dense_report.overlaps
+
+
+def test_a_warm_cooled_step_allocates_less_than_one_dense_array():
+    trotter = TrotterConfig(g2=1.0, total_time=0.1, n_steps=1)
+    noise = NoiseSpec("depolarizing", 0.01)
+    x = np.zeros(len(_swept().positions) + 1, dtype=complex)
+    x[0] = 1.0
+    x = cli._cooled_step(x, trotter, noise, 1e-5, 10)[0]
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        x, _, report = cli._cooled_step(x, trotter, noise, 1e-5, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert report.sweeps_used == 10
+    assert peak - base < TOTAL_DIM**2 * np.dtype(complex).itemsize

@@ -9,9 +9,12 @@ from gaugecool import cooling
 from gaugecool.cooling import (
     CoolingReport,
     _pair_kraus,
+    _cool_stage,
+    _pair_blocks,
     _pair_superoperator,
-    _settled_block,
-    _support_maps,
+    _stage,
+    _swept,
+    _swept_entries,
     Syndrome,
     cool_vertex,
     cooling_sweep,
@@ -21,7 +24,15 @@ from gaugecool.cooling import (
     syndrome_operator,
     syndrome_probabilities,
 )
-from gaugecool.dynamics import NoiseSpec, TrotterConfig, apply_noise_all_edges, hygiene, trotter_step
+from gaugecool.cli import _cooled_maps
+from gaugecool.dynamics import (
+    NoiseSpec,
+    TrotterConfig,
+    apply_noise_all_edges,
+    hygiene,
+    trotter_step,
+    trotter_unitary,
+)
 from gaugecool.lattice import (
     TOTAL_DIM,
     build_cg_basis,
@@ -356,11 +367,12 @@ def cooled_run_inputs(kind, steps=3):
 
 
 @pytest.fixture
-def block_stages(monkeypatch):
-    """The vertices cooled on the support buffer, in call order."""
+def entry_stages(monkeypatch):
+    """The vertices cooled on an entry pattern, in call order."""
     calls = []
-    kernel = cooling._cool_block
-    monkeypatch.setattr(cooling, "_cool_block", lambda small, v: calls.append(v) or kernel(small, v))
+    kernel = cooling._cool_stage
+    monkeypatch.setattr(cooling, "_cool_stage",
+                        lambda x, stage: calls.append(stage.vertex) or kernel(x, stage))
     return calls
 
 
@@ -391,80 +403,199 @@ def test_one_sweep_settles_any_input_on_31_states():
     assert [int(h.sum()) for h in stages] == [225, 115, 60, 31] + [31] * 8
     assert all(np.array_equal(a, b) for a, b in zip(stages[4:8], stages[8:]))
     assert np.array_equal(stages[7], stages[3])
-    maps = _support_maps()
-    assert np.array_equal(maps.settled, np.flatnonzero(stages[3]))
-    assert np.array_equal(maps.states, np.flatnonzero(np.any(stages[3:], axis=0)))
-    assert len(maps.states) == 45
+    swept = _swept()
+    for side in np.divmod(swept.positions, TOTAL_DIM):
+        assert np.array_equal(np.flatnonzero(np.bincount(side, minlength=TOTAL_DIM)),
+                              np.flatnonzero(stages[3]))
+    # the states each later stage reads, as the 45-state support held them
+    held, states = swept.positions, []
+    for v in range(4):
+        states.extend(np.divmod(held, TOTAL_DIM))
+        held = _stage(held, v)[1]
+    states = np.unique(np.concatenate(states))
+    assert np.array_equal(states, np.flatnonzero(np.any(stages[3:], axis=0)))
+    assert len(states) == 45
+
+
+def kraus_sweep(held, vertices=range(4)):
+    """Push an entry pattern through the recovery channels, Kraus operator by
+    Kraus operator: (ket, bra) reaches (K ket, K bra) for each nonzero of K.
+    No cancellation is assumed.  Returns the pattern after each vertex."""
+    out = []
+    for v in vertices:
+        reach = [(k != 0).astype(float) for k in recovery_kraus(v).operators]
+        held = sum(k @ held @ k.T for k in reach) > 0
+        out.append(held)
+        held = held.astype(float)
+    return out
+
+
+def pattern_mask(positions):
+    mask = np.zeros(TOTAL_DIM**2, dtype=bool)
+    mask[positions] = True
+    return mask.reshape(TOTAL_DIM, TOTAL_DIM)
+
+
+def test_the_swept_pattern_is_what_one_sweep_writes_from_anything():
+    """Entry by entry, from the full 625^2 pattern: the stages hold 50,625,
+    9,325, 1,934 and 459 entries, the swept pattern is the last, and a sweep
+    from it stays on it."""
+    stages = kraus_sweep(np.ones((TOTAL_DIM, TOTAL_DIM)))
+    assert [int(s.sum()) for s in stages] == [50625, 9325, 1934, 459]
+    swept = _swept()
+    assert len(swept.positions) == 459
+    assert np.array_equal(pattern_mask(swept.positions), stages[-1])
+    again = kraus_sweep(stages[-1].astype(float))
+    assert not np.any(again[-1] & ~stages[-1])
+    # the stage maps keep what the superoperator's nonzeros reach, within the Kraus propagation
+    held = swept.positions
+    for v, reached in zip(range(4), again):
+        stage, into = _stage(held, v, swept.positions if v == 3 else None)
+        held = into[stage.target]
+        assert not np.any(pattern_mask(held) & ~reached)
+    assert [len(s.keep) for s in swept.sweep] == [359, 351, 351, 351]
+    assert [s.size for s in swept.sweep] == [359, 351, 351, 459]
+
+
+def test_the_cooled_step_patterns_are_closed():
+    """Propagate each stage of a cooled step from the full pattern before it,
+    no cancellation assumed: U's nonzeros from the full block of the settled
+    states, a channel with nonnegative coefficients on a nonnegative block
+    for the noise, and the Kraus operators for the sweep."""
+    held_at, step, block_at, edges, noisy = _cooled_maps(1.0, 0.1)
+    swept = _swept().positions
+    settled = np.flatnonzero(np.bincount(swept // TOTAL_DIM, minlength=TOTAL_DIM))
+    assert len(settled) == 31
+    u = (trotter_unitary(1.0, 0.1) != 0).astype(float)
+    full = np.zeros((TOTAL_DIM, TOTAL_DIM))
+    full[np.ix_(settled, settled)] = 1.0
+    stepped = u @ full @ u.T > 0
+    reached = np.flatnonzero(stepped.any(axis=1))
+    assert len(reached) == 45
+    assert np.array_equal(pattern_mask(noisy.positions[block_at]), stepped)
+    assert np.array_equal(np.flatnonzero(stepped.any(axis=0)), reached)
+    assert len(noisy.positions) == 9593
+    for kind in ("depolarizing", "amplitude_damping"):
+        out = apply_noise_all_edges(stepped.astype(complex), NoiseSpec(kind, 0.3)) != 0
+        assert not np.any(out & ~pattern_mask(noisy.positions))
+        if kind == "depolarizing":
+            assert np.array_equal(out, pattern_mask(noisy.positions))
+    stages = kraus_sweep(pattern_mask(noisy.positions).astype(float))
+    held = noisy.positions
+    for v, reached_v in zip(range(4), stages):
+        stage, into = _stage(held, v, swept if v == 3 else None)
+        held = into[stage.target]
+        assert not np.any(pattern_mask(held) & ~reached_v)
+    assert not np.any(stages[-1] & ~pattern_mask(swept))
+    assert [s.size for s in noisy.sweep] == [2943, 1037, 596, 459]
+    assert [len(s.keep) for s in noisy.sweep] == [2943, 1037, 596, 359]
+
+
+def test_pair_blocks_hold_the_superoperator():
+    rows, cols, block = _pair_superoperator()
+    blocks = _pair_blocks()
+    assert blocks.block.shape == (25, 4, 6)
+    c, i, k = np.nonzero(blocks.block)
+    rebuilt = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
+    rebuilt[blocks.rows[c, i], blocks.columns[c, k]] = blocks.block[c, i, k]
+    dense = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
+    dense[np.ix_(rows, cols)] = block
+    assert np.array_equal(rebuilt, dense)
+    assert np.count_nonzero(blocks.block) == np.count_nonzero(block) == 387
+    assert np.array_equal(np.flatnonzero(blocks.slot >= 0), np.sort(cols))
+    flat = blocks.columns.ravel()
+    assert np.array_equal(flat[blocks.slot[cols]], cols)
+
+
+@pytest.mark.parametrize("which", ["swept", "noisy"])
+def test_stage_kernel_gives_the_dense_bits_on_random_states(which):
+    """A sweep on the swept pattern, and sweep 0 of a cooled step on the
+    entries its noise can write, against dense vertex by vertex."""
+    pattern = _swept() if which == "swept" else _cooled_maps(1.0, 0.1)[-1]
+    rng = np.random.default_rng(5)
+    n = len(pattern.positions)
+    x = np.append(rng.standard_normal(n) + 1j * rng.standard_normal(n), 0)
+    rho = np.zeros(TOTAL_DIM**2, dtype=complex)
+    rho[pattern.positions] = x[:-1]
+    rho = rho.reshape(TOTAL_DIM, TOTAL_DIM)
+    for stage in pattern.sweep:
+        x = _cool_stage(x, stage)
+        rho = cool_vertex(rho, stage.vertex)
+    positions = _swept().positions
+    assert x[-1] == 0
+    assert np.array_equal(rho.take(positions), x[:-1])
+    assert not np.delete(rho.ravel(), positions).any()
 
 
 @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
-def test_cooling_on_the_support_keeps_the_dense_bits_on_cooled_runs(kind, block_stages):
+def test_cooling_on_the_support_keeps_the_dense_bits_on_cooled_runs(kind, entry_stages):
     for rho in cooled_run_inputs(kind):
-        block_stages.clear()
+        entry_stages.clear()
         report = assert_matches_dense_sweeps(rho)
         assert report.sweeps_used > 1
-        assert block_stages == [0, 1, 2, 3] * (report.sweeps_used - 1)
+        assert entry_stages == [0, 1, 2, 3] * (report.sweeps_used - 1)
 
 
 @pytest.mark.parametrize("rank", [1, 8, TOTAL_DIM])
-def test_cooling_on_the_support_keeps_the_dense_bits_on_random_states(rank, block_stages):
+def test_cooling_on_the_support_keeps_the_dense_bits_on_random_states(rank, entry_stages):
     rho = random_density(np.random.default_rng(rank), rank=rank)
     report = assert_matches_dense_sweeps(rho)
     assert report.sweeps_used == 10
-    assert len(block_stages) == 4 * 9
+    assert len(entry_stages) == 4 * 9
 
 
-def test_one_sweep_cooling_never_enters_the_support(block_stages):
+def test_one_sweep_cooling_never_enters_the_support(entry_stages):
     report = assert_matches_dense_sweeps(protocol_state(), max_sweeps=1)
-    assert report.sweeps_used == 1 and not block_stages
+    assert report.sweeps_used == 1 and not entry_stages
 
 
-def test_cooling_that_converges_after_one_sweep_never_enters_the_support(block_stages):
+def test_cooling_that_converges_after_one_sweep_never_enters_the_support(entry_stages):
     rho = protocol_state()
     deficits = [1.0 - gi_overlap(rho), 1.0 - gi_overlap(cooling_sweep(rho))]
     report = assert_matches_dense_sweeps(rho, tol=sum(deficits) / 2)
-    assert report.sweeps_used == 1 and report.converged and not block_stages
+    assert report.sweeps_used == 1 and report.converged and not entry_stages
 
 
-def test_gauge_invariant_input_comes_back_unchanged(block_stages):
+def test_gauge_invariant_input_comes_back_unchanged(entry_stages):
     vac = vacuum_state()
     rho = np.outer(vac, vac.conj())
     out, report = iterative_cooling(rho)
-    assert report.sweeps_used == 0 and report.converged and not block_stages
+    assert report.sweeps_used == 0 and report.converged and not entry_stages
     assert np.array_equal(out, rho)
 
 
 @pytest.mark.parametrize("layout", [np.asfortranarray, np.real, lambda r: np.asfortranarray(r.real)])
-def test_cooling_on_the_support_takes_any_layout_and_dtype(layout, block_stages):
+def test_cooling_on_the_support_takes_any_layout_and_dtype(layout, entry_stages):
     rho = layout(protocol_state())
     before = rho.copy()
     report = assert_matches_dense_sweeps(rho, max_sweeps=3)
-    assert report.sweeps_used == 3 and len(block_stages) == 8
+    assert report.sweeps_used == 3 and len(entry_stages) == 8
     assert np.array_equal(rho, before)
 
 
-def test_settled_block_needs_exact_zeros_off_the_settled_states():
+def test_swept_entries_need_exact_zeros_off_the_swept_pattern():
     rho = cooling_sweep(protocol_state())
-    off = np.setdiff1d(np.arange(TOTAL_DIM), _support_maps().settled)[0]
-    inside = _support_maps().settled[0]
+    positions = _swept().positions
+    settled = np.flatnonzero(np.bincount(positions // TOTAL_DIM, minlength=TOTAL_DIM))
+    off = np.setdiff1d(np.arange(TOTAL_DIM), settled)[0]
+    inside = settled[0]
+    # between settled states, but off the pattern
+    between = np.setdiff1d((settled[:, None] * TOTAL_DIM + settled).ravel(), positions)[0]
     for at, value, error in (
         ((off, off), 1e-300, AssertionError),
         ((inside, off), 1e-300, AssertionError),
+        (divmod(between, TOTAL_DIM), 1e-300, AssertionError),
         ((inside, inside), np.nan, ValueError),
         ((off, inside), np.inf, ValueError),
     ):
         bad = rho.copy()
         bad[at] = value
         with pytest.raises(error):
-            _settled_block(bad)
+            _swept_entries(bad)
     cut = rho.copy()
-    small = _settled_block(cut)
-    assert not cut.any()
-    states = _support_maps().states
-    n = len(states)
-    block = small.reshape(n + 1, n + 1)
-    assert not block[n].any() and not block[:, n].any()
-    cut[np.ix_(states, states)] = block[:n, :n]
+    x = _swept_entries(cut)
+    assert not cut.any() and len(x) == len(positions) + 1 and x[-1] == 0
+    cut.put(positions, x[:-1])
     assert np.array_equal(cut, rho)
 
 

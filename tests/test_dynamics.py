@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from gaugecool import dynamics
+from gaugecool import cli, cooling, dynamics
 from gaugecool.cli import main
 from gaugecool.dynamics import (
     NoiseSpec,
@@ -543,7 +543,7 @@ class KernelSpy:
             return packed
 
         monkeypatch.setattr(dynamics, "pack", spy_pack)
-        for name in ("_class_trotter", "_packed_edge_channel"):
+        for name in ("_class_trotter", "_packed_noise"):
             monkeypatch.setattr(dynamics, name, self.record(name, getattr(dynamics, name)))
         monkeypatch.setattr(ChargeClasses, "blocks", self.record("blocks", ChargeClasses.blocks))
 
@@ -576,19 +576,27 @@ def test_one_tiny_off_class_entry_takes_the_dense_path(monkeypatch):
 
 
 def test_uncooled_runs_step_on_the_packed_kernels(monkeypatch, tmp_path):
-    """Every uncooled step is packed; a cooled run packs only its first step,
-    whose input is the vacuum: cooling leaves weight off the classes."""
+    """Every uncooled step is packed; a cooled run steps on its entry
+    patterns from the vacuum on, and calls none of the dense-input steps."""
     spy = KernelSpy(monkeypatch)
     for state in uncooled_states("amplitude_damping", steps=3)[1::2]:
         hygiene(state)
     assert spy.packed == [True] * 9
-    step = ["_class_trotter", "blocks", "blocks", *["_packed_edge_channel"] * N_EDGES]
+    step = ["_class_trotter", "blocks", "blocks", "_packed_noise"]
     assert spy.calls == step * 3 + ["blocks"] * 3
-    for cool, packed in (("off", [True, True] * 3), ("on", [True, True] + [False, False] * 2)):
-        spy.packed.clear()
-        argv = ["evolve", "--rate", "0.01", "--cool", cool, "--steps", "3", "--time", "0.3"]
-        assert main([*argv, "--out", str(tmp_path / f"{cool}.csv")]) == 0
-        assert spy.packed == packed
+    argv = ["evolve", "--rate", "0.01", "--steps", "3", "--time", "0.3"]
+    spy.packed.clear()
+    assert main([*argv, "--cool", "off", "--out", str(tmp_path / "off.csv")]) == 0
+    assert spy.packed == [True, True] * 3
+    spy.packed.clear()
+    spy.calls.clear()
+    for module, name in ((cli, "trotter_step"), (cli, "apply_noise_all_edges"),
+                         (cli, "_packed_noise"), (dynamics, "trotter_step"),
+                         (dynamics, "apply_noise_all_edges"), (cooling, "_cool_into")):
+        monkeypatch.setattr(module, name, spy.record(name, getattr(module, name)))
+    assert main([*argv, "--cool", "on", "--out", str(tmp_path / "on.csv")]) == 0
+    assert spy.packed == []
+    assert spy.calls == ["_packed_noise"] * 3
 
 
 # ---------------------------------------------------------------- fidelity

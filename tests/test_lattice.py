@@ -14,7 +14,7 @@ from gaugecool.dynamics import (
     hygiene,
     trotter_step,
     trotter_unitary,
-    _packed_edge_maps,
+    _class_edge_maps,
 )
 from gaugecool.hamiltonian import haar_mc_oracle, magnetic_plaquette_matrix
 from gaugecool.lattice import (
@@ -41,8 +41,12 @@ from gaugecool.lattice import (
     vacuum_state,
     vertex_edges,
 )
+from gaugecool import cli
 from gaugecool.cooling import (
+    _pair_blocks,
     _pair_superoperator,
+    _state_layout,
+    _swept,
     cool_vertex,
     iterative_cooling,
     recovery_kraus,
@@ -323,14 +327,18 @@ def test_gauge_casimir_is_the_sum_of_squared_generators():
 
 def test_dense_operator_builders_retain_no_dense_array():
     """No cache keeps a dense 625x625 operator once its caller drops it;
-    cooling on the support one sweep proves, and the class-packed Trotter
-    step, noise and hygiene, keep only their small index maps."""
+    cooling on the swept pattern, the cooled step on its entry patterns, and
+    the class-packed Trotter step, noise and hygiene, keep only their small
+    index maps."""
     vac = vacuum_state()
     noisy = depolarizing_channel(np.outer(vac, vac.conj()), 0, 0.05)
     assert pack(noisy) is not None
     # built inside the window, whatever ran before
-    charge_classes.cache_clear()
-    _packed_edge_maps.cache_clear()
+    for cache in (charge_classes, _class_edge_maps, _pair_blocks, _state_layout, _swept,
+                  cli._cooled_maps):
+        cache.cache_clear()
+    held = np.zeros(len(_swept().positions) + 1, dtype=complex)
+    _swept.cache_clear()
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -345,6 +353,9 @@ def test_dense_operator_builders_retain_no_dense_array():
             singlet_projector(v)
             build_cg_basis(v)
         report = iterative_cooling(noisy, max_sweeps=3)[1]
+        held[0] = 1.0
+        held, _, cooled = cli._cooled_step(held, TrotterConfig(g2=1.0, total_time=0.37, n_steps=1),
+                                           NoiseSpec("depolarizing", 0.01), 1e-5, 10)
         gc.collect()
         unpacked = tracemalloc.get_traced_memory()[0]
         stepped = trotter_step(noisy, TrotterConfig(g2=1.0, total_time=0.37, n_steps=1))
@@ -359,7 +370,7 @@ def test_dense_operator_builders_retain_no_dense_array():
     # the packed path's caches hold O(2,273) entries: less than a byte per
     # entry of a 625x625 lookup table
     assert after - unpacked < TOTAL_DIM**2
-    assert report.sweeps_used == 3
+    assert report.sweeps_used == 3 and cooled.sweeps_used == 10
 
 
 def test_gauge_generators_annihilate_vacuum():
