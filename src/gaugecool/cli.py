@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cooling import CoolingReport, _check_cooling_parameters, gi_overlap, iterative_cooling
-from .cooling import _cool_entries, _entry_overlap, _pattern, _swept
+from .cooling import _cool_entries, _entry_overlap, _pattern, _settled_states
 from .dynamics import (
     NoiseSpec,
     TrotterConfig,
@@ -127,35 +127,34 @@ def _warn_unconverged(reports: list[CoolingReport], tol: float) -> None:
 
 @lru_cache(maxsize=4)
 def _cooled_maps(g2: float, dt: float):
-    """The maps of a cooled step at (g2, dt): the swept entries' places in
-    the block of the states U reaches from theirs, that block's Trotter
-    step, the block's places in the noisy pattern (its ``_noise_closure``),
-    the noise maps there, and the noisy pattern's maps."""
-    swept = _swept().positions
-    ket, bra = np.divmod(swept, TOTAL_DIM)
-    reached, step = _block_trotter(g2, dt, np.flatnonzero(np.bincount(ket, minlength=TOTAL_DIM)))
-    ket, bra = np.searchsorted(reached, ket), np.searchsorted(reached, bra)
+    """The maps of a cooled step at (g2, dt): the held pattern's places in
+    the block of the states U reaches from the settled ones, that block's
+    Trotter step, its places in the noisy pattern (its ``_noise_closure``),
+    the noise maps there, and the maps of the noisy and held patterns.  The
+    held one is what the noisy one's sweep writes: it lies in the block."""
+    reached, step = _block_trotter(g2, dt, _settled_states())
     block = (reached[:, None] * TOTAL_DIM + reached).ravel()
-    noisy = _noise_closure(block)
-    return ket * len(reached) + bra, step, np.searchsorted(noisy, block), \
-        _packed_edge_maps(noisy), _pattern(noisy, swept)
+    noisy, held = _pattern(_noise_closure(block))
+    ket, bra = np.searchsorted(reached, np.divmod(held, TOTAL_DIM))
+    return ket * len(reached) + bra, step, np.searchsorted(noisy.positions, block), \
+        _packed_edge_maps(noisy.positions), noisy, _pattern(held, held)[0]
 
 
 def _cooled_step(x: np.ndarray, trotter: TrotterConfig, noise: NoiseSpec, tol: float,
                  max_sweeps: int):
     """A Trotter step, edge noise and ``iterative_cooling`` of rho held on
-    the swept pattern, on fixed entry patterns and with the dense steps'
-    bits.  Returns rho's entry vector, the ``_Pattern`` it is held on (the
-    swept one unless no sweep ran) and the cooling report."""
-    held_at, step, block_at, edges, noisy = _cooled_maps(trotter.g2, trotter.dt)
+    the held pattern of ``_cooled_maps``, on fixed entry patterns and with
+    the dense steps' bits.  Returns rho's entry vector, the ``_Pattern`` it
+    is held on (the held one unless no sweep ran) and the cooling report."""
+    held_at, step, block_at, edges, noisy, held = _cooled_maps(trotter.g2, trotter.dt)
     n = len(step[0])
-    held = np.zeros(n * n, dtype=complex)
-    held.put(held_at, x[:-1])
+    block = np.zeros(n * n, dtype=complex)
+    block.put(held_at, x[:-1])
     stepped = np.zeros(len(noisy.positions), dtype=complex)
-    stepped.put(block_at, _block_trotter_step(held.reshape(n, n), *step))
+    stepped.put(block_at, _block_trotter_step(block.reshape(n, n), *step))
     x = np.append(_packed_noise(stepped, edges, noise), 0)
-    x, report = _cool_entries(x, noisy, [_entry_overlap(x, noisy)], tol, max_sweeps)
-    return x, _swept() if report.sweeps_used else noisy, report
+    x, report = _cool_entries(x, noisy, held, [_entry_overlap(x, noisy)], tol, max_sweeps)
+    return x, held if report.sweeps_used else noisy, report
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
@@ -163,16 +162,16 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
     The noiseless reference state is advanced in parallel so the fidelity
     column always compares against the ideal trajectory at the same time.
-    With cooling, rho is held on the swept pattern between steps, from the
-    vacuum on; a step that needs no sweep leaves it off that pattern, and
-    the dense steps take over.
+    With cooling, rho is held on the held pattern of ``_cooled_maps``
+    between steps, from the vacuum on; a step that needs no sweep leaves it
+    off that pattern, and the dense steps take over.
     """
     trotter = TrotterConfig(g2=cfg.g2, total_time=cfg.total_time, n_steps=cfg.n_steps)
     noise = cfg.noise_spec()
     psi = vacuum_state()
     rho = held = None
-    if cfg.cool:  # |0><0| is the swept pattern's first entry
-        held = np.zeros(len(_swept().positions) + 1, dtype=complex)
+    if cfg.cool:  # |0><0| is the held pattern's first entry
+        held = np.zeros(len(_cooled_maps(trotter.g2, trotter.dt)[-1].positions) + 1, dtype=complex)
         held[0] = 1.0
     else:
         rho = np.outer(psi, psi.conj())

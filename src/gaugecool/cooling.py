@@ -28,7 +28,8 @@ Every operator here acts only on the vertex's two edges: K_{J,N} is a
 25x25 pair operator k_{J,N} times the identity on the two spectator edges,
 and the same k serve every vertex.  ``cool_vertex`` reads rho through
 ``lattice.local_view`` as (pair ket, pair bra) x (spectator ket, spectator
-bra) and applies the pair superoperator sum_{J,N} k (x) conj(k) to the rows;
+bra) and applies the pair superoperator sum_{J,N} k (x) conj(k) to the rows,
+one connected block of it at a time (``_pair_blocks``);
 ``gi_overlap`` and ``syndrome_probabilities`` read the same per-vertex sector
 weights, traces of 25x25 pair projectors against the reduced pair state.
 The dense 625-dim references (``recovery_kraus`` and ``syndrome_operator``)
@@ -43,8 +44,8 @@ a rho with a non-finite entry, runs sweep 0 with the dense kernel, cuts the
 as an entry vector, through flat index maps (``_Pattern``): each vertex
 stage multiplies the superoperator's 25 connected blocks (``_pair_blocks``)
 with entries gathered from the vector, which gives the dense kernel's bits.
-A cooled ``evolve`` step runs its sweep 0 the same way, on the entries that
-its noise can write.
+A cooled ``evolve`` step runs its sweeps the same way: sweep 0 on the
+entries that its noise can write, the later ones on the 359 that it writes.
 """
 
 from __future__ import annotations
@@ -265,13 +266,15 @@ def _cool_into(rho: np.ndarray, out: np.ndarray, v: int) -> np.ndarray:
 
     out must be a C-contiguous complex 625x625 array; it may be rho itself,
     because the entries the channel reads are gathered before out is cleared."""
-    rows, cols, block = _pair_superoperator()
+    blocks = _pair_blocks()
     edges = vertex_edges(v)
     pair_shape = (EDGE_DIM,) * 4  # (out ket, in ket, out bra, in bra)
-    source = local_view(rho, edges)[np.unravel_index(cols, pair_shape)]
-    cooled = np.tensordot(block, source, axes=1)
+    source = local_view(rho, edges)[np.unravel_index(blocks.columns, pair_shape)]
+    written = blocks.block.any(axis=2)  # a padded row's place may be a real row's
+    cooled = (blocks.block @ source.reshape(len(written), -1, EDGE_DIM**4))[written]
     out[...] = 0
-    local_view(out, edges)[np.unravel_index(rows, pair_shape)] = cooled
+    local_view(out, edges)[np.unravel_index(blocks.rows[written], pair_shape)] = \
+        cooled.reshape(-1, *source.shape[2:])
     return out
 
 
@@ -310,10 +313,10 @@ class _Stage(NamedTuple):
 
 class _Pattern(NamedTuple):
     """Sorted flat entries row * 625 + col that rho is held on, and the maps
-    that read its overlap and sweep it onto the swept pattern."""
+    that read its overlap and sweep it."""
 
     positions: np.ndarray
-    overlap: tuple[tuple[np.ndarray, np.ndarray], ...]  # per vertex: (read, slot)
+    overlap: tuple[np.ndarray, np.ndarray]  # (read, slot): vertex v's slots are v * 625 + pair
     sweep: tuple[_Stage, ...]
 
 
@@ -400,23 +403,24 @@ def _reach(held: np.ndarray, pairs: np.ndarray, v: int) -> tuple[np.ndarray, np.
     return keep, at[pk, sk] * TOTAL_DIM + at[pb, sb]
 
 
-def _stage(held: np.ndarray, v: int, into: np.ndarray | None = None):
-    """The recovery at v on rho held on the sorted entries ``held``: its
-    ``_Stage`` and the sorted entries it can write.  Each block reads the
-    spectator pairs that a held entry has under one of its columns.  With
-    ``into`` the entries written must lie on it, and the stage writes onto it."""
+def _stage(held: np.ndarray, v: int, into: np.ndarray | None = None, coordinates=None):
+    """The recovery at v on rho held on the sorted entries ``held`` (their
+    ``coordinates`` at v, if known): its ``_Stage`` and the sorted entries it
+    can write, or ``into``, which must hold them.  Each block reads the
+    spectator pairs that a held entry has under one of its columns."""
     blocks = _pair_blocks()
     count, _, width = blocks.block.shape
-    pair, spectator = _pair_coordinates(held, v)
+    pair, spectator = coordinates or _pair_coordinates(held, v)
     read = np.flatnonzero(blocks.slot[pair] >= 0)
     column = blocks.slot[pair[read]]
     key = column // width * EDGE_DIM**4 + spectator[read]
-    keys = np.flatnonzero(np.bincount(key, minlength=count * EDGE_DIM**4))
+    keys = np.flatnonzero(np.bincount(key, minlength=count * EDGE_DIM**4) > 0)  # bool: fast
     owner, spectators = np.divmod(keys, EDGE_DIM**4)
+    owned = np.bincount(owner, minlength=count)
     place = np.zeros(count * EDGE_DIM**4, dtype=int)
-    place[keys] = _ranks(owner)
+    place[keys] = np.arange(len(keys)) - np.repeat(np.cumsum(owned) - owned, owned)  # keys ascend
     # two spectator pairs a block at least: matmul then calls gemm, as the dense kernel does
-    depth = max(2, np.bincount(owner, minlength=count).max())
+    depth = max(2, owned.max())
     gather = np.full((count * width, depth), len(held))
     gather[column, place[key]] = read
     gather = gather.reshape(count, width, depth)
@@ -437,22 +441,25 @@ def _stage(held: np.ndarray, v: int, into: np.ndarray | None = None):
     return stage, into
 
 
-def _pattern(positions: np.ndarray, swept: np.ndarray) -> _Pattern:
+def _pattern(positions: np.ndarray, into: np.ndarray | None = None):
     """The maps of rho held on ``positions``: per vertex, the entries whose
     spectator ket and bra agree, which the reduced pair state sums at each
     pair slot in position order, that is spectator by spectator as the dense
-    read sums them; and one sweep, whose last stage writes onto ``swept``."""
+    read sums them; and one sweep, whose last stage writes onto ``into`` or
+    else onto what it can write, which is returned beside the ``_Pattern``."""
     overlap, stages, held = [], [], positions
     for v in range(N_VERTICES):
-        pair, spectator = _pair_coordinates(positions, v)
+        pair, spectator = coordinates = _pair_coordinates(positions, v)
         # spectator ket = bra: sk * 26, found without the slow integer %
         read = np.flatnonzero(spectator // (EDGE_DIM**2 + 1) * (EDGE_DIM**2 + 1) == spectator)
-        overlap.append((read, pair[read]))
-        stage, held = _stage(held, v, swept if v == N_VERTICES - 1 else None)
+        overlap.append((read, pair[read] + v * EDGE_DIM**4))
+        stage, held = _stage(held, v, into if v == N_VERTICES - 1 else None,
+                             coordinates if v == 0 else None)
         stages.append(stage)
-    for a in (positions, *(a for pair in overlap for a in pair)):
+    overlap = tuple(np.concatenate(a) for a in zip(*overlap))
+    for a in (positions, held, *overlap):
         a.setflags(write=False)
-    return _Pattern(positions, tuple(overlap), tuple(stages))
+    return _Pattern(positions, overlap, tuple(stages)), held
 
 
 @lru_cache(maxsize=1)
@@ -473,7 +480,18 @@ def _swept() -> _Pattern:
     held = np.sort(_reach(held, np.broadcast_to(np.arange(EDGE_DIM**4), held.shape[::2]), 1)[1])
     for v in range(2, N_VERTICES):
         held = _stage(held, v)[1]
-    return _pattern(held, held)
+    return _pattern(held, held)[0]
+
+
+def _settled_states() -> np.ndarray:
+    """The 31 sorted states one sweep leaves any rho between: the pair Kraus
+    operators' nonzeros pushed from all 625 states, no cancellation assumed."""
+    reach = np.any([k != 0 for _, k in _pair_kraus()], axis=0)
+    at = _state_layout()[0]
+    held = np.ones(TOTAL_DIM, dtype=bool)
+    for v in range(N_VERTICES):
+        held[at[v]] = reach @ held[at[v]]
+    return np.flatnonzero(held)
 
 
 def _cool_stage(x: np.ndarray, stage: _Stage) -> np.ndarray:
@@ -487,23 +505,26 @@ def _cool_stage(x: np.ndarray, stage: _Stage) -> np.ndarray:
 def _entry_overlap(x: np.ndarray, pattern: _Pattern) -> float:
     """``gi_overlap`` of rho held on pattern, with the bits of the dense read."""
     projector = _pair_projectors()[0, 0]
-    total = 0
-    for read, slot in pattern.overlap:
-        pair = np.zeros(EDGE_DIM**4, dtype=complex)
-        np.add.at(pair, slot, x.take(read))
-        total += float(np.real(np.einsum("ij,ji->", projector, pair.reshape(EDGE_DIM**2, -1))))
-    return total / N_VERTICES
+    read, slot = pattern.overlap
+    values, size = x.take(read), N_VERTICES * EDGE_DIM**4
+    pair = np.empty(size, dtype=complex)
+    pair.real = np.bincount(slot, values.real, size)  # in position order, as np.add.at sums
+    pair.imag = np.bincount(slot, values.imag, size)
+    # one contraction for all four vertices sums each as its own "ij,ji->" does
+    weights = np.einsum("ij,vji->v", projector, pair.reshape(N_VERTICES, EDGE_DIM**2, -1))
+    return sum(weights.real.tolist()) / N_VERTICES
 
 
-def _cool_entries(x: np.ndarray, pattern: _Pattern, overlaps: list[float], tol: float,
-                  max_sweeps: int) -> tuple[np.ndarray, CoolingReport]:
+def _cool_entries(x: np.ndarray, pattern: _Pattern, settled: _Pattern, overlaps: list[float],
+                  tol: float, max_sweeps: int) -> tuple[np.ndarray, CoolingReport]:
     """``iterative_cooling`` on rho held on pattern, whose overlaps so far
-    (x's own last) are given: sweep onto the swept pattern until the overlap
-    exceeds 1 - tol or max_sweeps sweeps have run."""
+    (x's own last) are given: sweep onto ``settled``, the pattern that
+    pattern's sweep and its own write onto, until the overlap exceeds
+    1 - tol or max_sweeps sweeps have run."""
     while overlaps[-1] <= 1.0 - tol and len(overlaps) <= max_sweeps:
         for stage in pattern.sweep:
             x = _cool_stage(x, stage)
-        pattern = _swept()
+        pattern = settled
         overlaps.append(_entry_overlap(x, pattern))
     return x, CoolingReport(overlaps, len(overlaps) - 1, overlaps[-1] > 1.0 - tol)
 
@@ -555,6 +576,6 @@ def iterative_cooling(
         _cool_into(rho, rho, v)
     x = _swept_entries(rho)
     overlaps.append(_entry_overlap(x, _swept()))
-    x, report = _cool_entries(x, _swept(), overlaps, tol, max_sweeps)
+    x, report = _cool_entries(x, _swept(), _swept(), overlaps, tol, max_sweeps)
     rho.put(_swept().positions, x[:-1])
     return rho, report

@@ -276,26 +276,19 @@ def _packed_edge_maps(positions: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarr
     entries |i><i| on the edge, one per (other kets, other bras).  Wherever
     the positions hold one i they must hold all five, as the charge classes
     do (the edge shifts both sides' charges alike) and ``_noise_closure``'s."""
-    order = np.argsort(positions)
+    order = np.argsort(positions, kind="stable")  # a sorted pattern's is the identity
     ascending = positions[order]
+    row = positions // TOTAL_DIM  # floor division by a constant is fast; divmod is not
     maps = []
-    for e in range(N_EDGES):
-        ket, bra, step = _edge_digits(positions, e)
+    for e, digit in enumerate(np.indices((EDGE_DIM,) * N_EDGES).reshape(N_EDGES, -1)):
+        ket, bra = digit[row], digit[positions - row * TOTAL_DIM]
+        step = (TOTAL_DIM + 1) * EDGE_DIM ** (N_EDGES - 1 - e)  # |i><i| to |i+1><i+1| on e
         ground = positions[(ket == 0) & (bra == 0)]
         diag = order[np.searchsorted(ascending, ground + step * np.arange(EDGE_DIM)[:, None])]
         for a in (pair := ket * EDGE_DIM + bra, diag):
             a.setflags(write=False)
         maps.append((pair, diag))
     return tuple(maps)
-
-
-def _edge_digits(positions: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Each flat entry's (ket, bra) index on edge e, and the flat step from
-    |i><i| to |i+1><i+1| on it."""
-    digit = np.indices((EDGE_DIM,) * N_EDGES)[e].ravel()
-    row = positions // TOTAL_DIM  # floor division by a constant is fast; divmod is not
-    step = (TOTAL_DIM + 1) * EDGE_DIM ** (N_EDGES - 1 - e)
-    return digit[row], digit[positions - row * TOTAL_DIM], step
 
 
 @lru_cache(maxsize=1)
@@ -309,13 +302,14 @@ def _noise_closure(positions: np.ndarray) -> np.ndarray:
     on the flat entries ``positions``: on each edge, all five |i><i| beside
     any held |j><j|, the other edges' (ket, bra) kept.  Each edge's closure
     keeps the other edges' indices, so one pass over the edges closes all."""
+    held = np.zeros((EDGE_DIM,) * (2 * N_EDGES), dtype=bool)  # the kets' digits, then the bras'
+    held.reshape(-1)[positions] = True
     for e in range(N_EDGES):
-        ket, bra, step = _edge_digits(positions, e)
-        ground = (positions - step * ket)[ket == bra]
-        fed = (ground[:, None] + step * np.arange(EDGE_DIM)).ravel()
-        merged = np.sort(np.concatenate([positions, fed]))
-        positions = merged[np.diff(merged, prepend=-1) != 0]
-    return positions
+        pair = np.moveaxis(held, (e, N_EDGES + e), (0, 1))  # a view: writing it writes held
+        fed = reduce(np.logical_or, (pair[i, i] for i in range(EDGE_DIM)))
+        for i in range(EDGE_DIM):
+            pair[i, i] = fed
+    return np.flatnonzero(held)
 
 
 def _packed_noise(packed: np.ndarray, edge_maps, spec: NoiseSpec) -> np.ndarray:

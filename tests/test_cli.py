@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -9,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaugecool import cli
+from gaugecool import cli, cooling
 from gaugecool.cli import RunConfig, build_parser, main
-from gaugecool.cooling import _swept, cooling_sweep, iterative_cooling
+from gaugecool.cooling import cooling_sweep, iterative_cooling
 from gaugecool.dynamics import (
     NoiseSpec,
     TrotterConfig,
@@ -391,19 +392,26 @@ def test_evolve_hands_gi_overlap_a_fresh_dense_state_each_step(monkeypatch, tmp_
     assert trace_dev < 1e-12 and herm_dev < 1e-12 and min_eig >= -1e-8
 
 
+def dense_step(rho, trotter, noise):
+    return apply_noise_all_edges(trotter_step(rho, trotter), noise)
+
+
 @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
 def test_cooled_step_matches_the_dense_steps_on_random_states(kind):
-    """Swept random states, not only the trajectory's."""
+    """Random states, put on the held pattern by a sweep, a noisy step and a
+    sweep: not only the trajectory's."""
     rng = np.random.default_rng(7)
     trotter, noise = TrotterConfig(g2=1.3, total_time=0.2, n_steps=1), NoiseSpec(kind, 0.2)
-    positions = _swept().positions
+    positions = cli._cooled_maps(trotter.g2, trotter.dt)[-1].positions
     for rank in (1, 8, TOTAL_DIM):
         a = rng.standard_normal((TOTAL_DIM, rank)) + 1j * rng.standard_normal((TOTAL_DIM, rank))
         rho = cooling_sweep(a @ a.conj().T / np.linalg.norm(a) ** 2)
+        rho = cooling_sweep(dense_step(rho, trotter, noise))
         x = np.append(rho.take(positions), 0)
+        assert not np.delete(rho.ravel(), positions).any()
         out, pattern, report = cli._cooled_step(x, trotter, noise, 1e-15, 3)
-        noisy = apply_noise_all_edges(trotter_step(rho, trotter), noise)
-        want, dense_report = iterative_cooling(noisy, tol=1e-15, max_sweeps=3)
+        want, dense_report = iterative_cooling(dense_step(rho, trotter, noise), tol=1e-15,
+                                               max_sweeps=3)
         got = np.zeros(TOTAL_DIM**2, dtype=complex)
         got[pattern.positions] = out[:-1]
         assert np.max(np.abs(got.reshape(TOTAL_DIM, TOTAL_DIM) - want)) <= 1e-13
@@ -414,7 +422,7 @@ def test_cooled_step_matches_the_dense_steps_on_random_states(kind):
 def test_a_warm_cooled_step_allocates_less_than_one_dense_array():
     trotter = TrotterConfig(g2=1.0, total_time=0.1, n_steps=1)
     noise = NoiseSpec("depolarizing", 0.01)
-    x = np.zeros(len(_swept().positions) + 1, dtype=complex)
+    x = np.zeros(len(cli._cooled_maps(trotter.g2, trotter.dt)[-1].positions) + 1, dtype=complex)
     x[0] = 1.0
     x = cli._cooled_step(x, trotter, noise, 1e-5, 10)[0]
     started = not tracemalloc.is_tracing()
@@ -430,3 +438,32 @@ def test_a_warm_cooled_step_allocates_less_than_one_dense_array():
             tracemalloc.stop()
     assert report.sweeps_used == 10
     assert peak - base < TOTAL_DIM**2 * np.dtype(complex).itemsize
+
+
+def test_a_cold_cooled_evolve_derives_only_its_own_patterns(monkeypatch, tmp_path):
+    """From cleared caches, a cooled evolve derives its maps in two passes of
+    four stages, over its noisy pattern and over the held pattern that one
+    writes; it never proves the swept pattern, and what it keeps is less
+    than one dense array."""
+    stages, proofs = [], []
+    stage, prove = cooling._stage, cooling._swept
+    monkeypatch.setattr(cooling, "_stage", lambda *a, **kw: stages.append(a[1]) or stage(*a, **kw))
+    monkeypatch.setattr(cooling, "_swept", lambda: proofs.append(1) or prove())
+    for cache in (cli._cooled_maps, prove, cooling._state_layout):
+        cache.cache_clear()
+    argv = ["evolve", "--cool", "on", "--rate", "0.01", "--steps", "2", "--time", "0.2"]
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main([*argv, "--out", str(tmp_path / "cooled.csv")]) == 0
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert stages == [0, 1, 2, 3] * 2
+    assert not proofs
+    assert after - before < TOTAL_DIM**2 * np.dtype(complex).itemsize

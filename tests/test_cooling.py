@@ -12,6 +12,7 @@ from gaugecool.cooling import (
     _cool_stage,
     _pair_blocks,
     _pair_superoperator,
+    _settled_states,
     _stage,
     _swept,
     _swept_entries,
@@ -34,11 +35,14 @@ from gaugecool.dynamics import (
     trotter_unitary,
 )
 from gaugecool.lattice import (
+    EDGE_DIM,
     TOTAL_DIM,
     build_cg_basis,
+    local_view,
     physical_subspace_basis,
     singlet_projector,
     vacuum_state,
+    vertex_edges,
 )
 
 
@@ -457,15 +461,33 @@ def test_the_swept_pattern_is_what_one_sweep_writes_from_anything():
     assert [s.size for s in swept.sweep] == [359, 351, 351, 459]
 
 
+def superoperator_sweep(held, vertices=range(4)):
+    """Push an entry pattern through the summed pair superoperator's
+    nonzeros, vertex by vertex, as the dense kernel applies it: only its own
+    exact zeros cancel.  Returns the pattern after each vertex."""
+    rows, cols, block = _pair_superoperator()
+    reach = np.zeros((EDGE_DIM**4, EDGE_DIM**4))
+    reach[np.ix_(rows, cols)] = block != 0
+    out = []
+    for v in vertices:
+        pairs = local_view(held, vertex_edges(v)).reshape(EDGE_DIM**4, -1)
+        held = np.empty((TOTAL_DIM, TOTAL_DIM), dtype=bool)
+        local_view(held, vertex_edges(v))[...] = (reach @ pairs > 0).reshape((EDGE_DIM,) * 8)
+        out.append(held)
+    return out
+
+
 def test_the_cooled_step_patterns_are_closed():
-    """Propagate each stage of a cooled step from the full pattern before it,
-    no cancellation assumed: U's nonzeros from the full block of the settled
-    states, a channel with nonnegative coefficients on a nonnegative block
-    for the noise, and the Kraus operators for the sweep."""
-    held_at, step, block_at, edges, noisy = _cooled_maps(1.0, 0.1)
-    swept = _swept().positions
-    settled = np.flatnonzero(np.bincount(swept // TOTAL_DIM, minlength=TOTAL_DIM))
+    """Propagate each stage of a cooled step from the full pattern before it:
+    U's nonzeros from the full block of the settled states, a channel with
+    nonnegative coefficients on a nonnegative block for the noise, and the
+    superoperator's nonzeros for the sweep.  The held pattern is what the
+    sweep writes from the noisy pattern, its own sweep writes onto it again,
+    and it lies between the settled states, where the step starts."""
+    held_at, step, block_at, edges, noisy, held = _cooled_maps(1.0, 0.1)
+    settled = np.flatnonzero(np.bincount(_swept().positions // TOTAL_DIM, minlength=TOTAL_DIM))
     assert len(settled) == 31
+    assert np.array_equal(_settled_states(), settled)
     u = (trotter_unitary(1.0, 0.1) != 0).astype(float)
     full = np.zeros((TOTAL_DIM, TOTAL_DIM))
     full[np.ix_(settled, settled)] = 1.0
@@ -475,20 +497,35 @@ def test_the_cooled_step_patterns_are_closed():
     assert np.array_equal(pattern_mask(noisy.positions[block_at]), stepped)
     assert np.array_equal(np.flatnonzero(stepped.any(axis=0)), reached)
     assert len(noisy.positions) == 9593
+    swept_noisy = superoperator_sweep(pattern_mask(noisy.positions).astype(float))
+    assert np.array_equal(pattern_mask(held.positions), swept_noisy[-1])
     for kind in ("depolarizing", "amplitude_damping"):
         out = apply_noise_all_edges(stepped.astype(complex), NoiseSpec(kind, 0.3)) != 0
         assert not np.any(out & ~pattern_mask(noisy.positions))
         if kind == "depolarizing":
             assert np.array_equal(out, pattern_mask(noisy.positions))
+        assert not np.any(superoperator_sweep(out.astype(float))[-1] & ~swept_noisy[-1])
+    again = superoperator_sweep(swept_noisy[-1].astype(float))[-1]
+    assert not np.any(again & ~swept_noisy[-1])
+    # the Kraus operators one by one bound the superoperator's reach
     stages = kraus_sweep(pattern_mask(noisy.positions).astype(float))
-    held = noisy.positions
-    for v, reached_v in zip(range(4), stages):
-        stage, into = _stage(held, v, swept if v == 3 else None)
-        held = into[stage.target]
-        assert not np.any(pattern_mask(held) & ~reached_v)
-    assert not np.any(stages[-1] & ~pattern_mask(swept))
-    assert [s.size for s in noisy.sweep] == [2943, 1037, 596, 459]
+    assert [int(s.sum()) for s in stages] == [2943, 1037, 596, 391]
+    for by_kraus, by_superoperator in zip(stages, swept_noisy):
+        assert not np.any(by_superoperator & ~by_kraus)
+    ket, bra = np.divmod(held.positions, TOTAL_DIM)
+    assert held.positions[0] == 0 and np.isin(ket, settled).all() and np.isin(bra, settled).all()
+    assert np.array_equal(np.take(reached, held_at // len(reached)), ket)
+    assert np.array_equal(np.take(reached, held_at % len(reached)), bra)
+    # each stage writes what the superoperator's nonzeros reach
+    for pattern in (noisy, held):
+        at = pattern.positions
+        for v, reached_v in enumerate(superoperator_sweep(pattern_mask(at).astype(float))):
+            stage, at = _stage(at, v, held.positions if v == 3 else None)
+            assert np.array_equal(pattern_mask(at[stage.target]), reached_v)
+    assert [s.size for s in noisy.sweep] == [2943, 1037, 596, 359]
     assert [len(s.keep) for s in noisy.sweep] == [2943, 1037, 596, 359]
+    assert [s.size for s in held.sweep] == [351, 351, 351, 359]
+    assert [len(s.keep) for s in held.sweep] == [351, 351, 351, 351]
 
 
 def test_pair_blocks_hold_the_superoperator():
@@ -507,11 +544,14 @@ def test_pair_blocks_hold_the_superoperator():
     assert np.array_equal(flat[blocks.slot[cols]], cols)
 
 
-@pytest.mark.parametrize("which", ["swept", "noisy"])
+@pytest.mark.parametrize("which", ["swept", "noisy", "held"])
 def test_stage_kernel_gives_the_dense_bits_on_random_states(which):
-    """A sweep on the swept pattern, and sweep 0 of a cooled step on the
-    entries its noise can write, against dense vertex by vertex."""
-    pattern = _swept() if which == "swept" else _cooled_maps(1.0, 0.1)[-1]
+    """A sweep on the swept pattern, sweep 0 of a cooled step on the entries
+    its noise can write, and a later sweep on the entries that one writes,
+    against dense vertex by vertex."""
+    *_, noisy, held = _cooled_maps(1.0, 0.1)
+    pattern, written = {"swept": (_swept(), _swept()), "noisy": (noisy, held),
+                        "held": (held, held)}[which]
     rng = np.random.default_rng(5)
     n = len(pattern.positions)
     x = np.append(rng.standard_normal(n) + 1j * rng.standard_normal(n), 0)
@@ -521,7 +561,7 @@ def test_stage_kernel_gives_the_dense_bits_on_random_states(which):
     for stage in pattern.sweep:
         x = _cool_stage(x, stage)
         rho = cool_vertex(rho, stage.vertex)
-    positions = _swept().positions
+    positions = written.positions
     assert x[-1] == 0
     assert np.array_equal(rho.take(positions), x[:-1])
     assert not np.delete(rho.ravel(), positions).any()

@@ -337,8 +337,8 @@ def test_dense_operator_builders_retain_no_dense_array():
     for cache in (charge_classes, _class_edge_maps, _pair_blocks, _state_layout, _swept,
                   cli._cooled_maps):
         cache.cache_clear()
-    held = np.zeros(len(_swept().positions) + 1, dtype=complex)
-    _swept.cache_clear()
+    held = np.zeros(len(cli._cooled_maps(1.0, 0.37)[-1].positions) + 1, dtype=complex)
+    cli._cooled_maps.cache_clear()
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
