@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cooling import CoolingReport, _check_cooling_parameters, gi_overlap, iterative_cooling
-from .cooling import _cool_entries, _entry_overlap, _pattern, _settled_states
+from .cooling import _cool_entries, _entry_overlap, _pattern, _settled, _settled_states
 from .dynamics import (
     NoiseSpec,
     TrotterConfig,
@@ -127,34 +127,34 @@ def _warn_unconverged(reports: list[CoolingReport], tol: float) -> None:
 
 @lru_cache(maxsize=4)
 def _cooled_maps(g2: float, dt: float):
-    """The maps of a cooled step at (g2, dt): the held pattern's places in
+    """The maps of a cooled step at (g2, dt): the settled pattern's places in
     the block of the states U reaches from the settled ones, that block's
     Trotter step, its places in the noisy pattern (its ``_noise_closure``),
-    the noise maps there, and the maps of the noisy and held patterns.  The
-    held one is what the noisy one's sweep writes: it lies in the block."""
+    the noise maps there, and the maps of the noisy pattern, whose sweep
+    writes onto the settled one."""
     reached, step = _block_trotter(g2, dt, _settled_states())
     block = (reached[:, None] * TOTAL_DIM + reached).ravel()
-    noisy, held = _pattern(_noise_closure(block))
-    ket, bra = np.searchsorted(reached, np.divmod(held, TOTAL_DIM))
-    return ket * len(reached) + bra, step, np.searchsorted(noisy.positions, block), \
-        _packed_edge_maps(noisy.positions), noisy, _pattern(held, held)[0]
+    noisy = _noise_closure(block)
+    ket, bra = np.searchsorted(reached, np.divmod(_settled().positions, TOTAL_DIM))
+    return ket * len(reached) + bra, step, np.searchsorted(noisy, block), \
+        _packed_edge_maps(noisy), _pattern(noisy, _settled().positions)
 
 
 def _cooled_step(x: np.ndarray, trotter: TrotterConfig, noise: NoiseSpec, tol: float,
                  max_sweeps: int):
     """A Trotter step, edge noise and ``iterative_cooling`` of rho held on
-    the held pattern of ``_cooled_maps``, on fixed entry patterns and with
-    the dense steps' bits.  Returns rho's entry vector, the ``_Pattern`` it
-    is held on (the held one unless no sweep ran) and the cooling report."""
-    held_at, step, block_at, edges, noisy, held = _cooled_maps(trotter.g2, trotter.dt)
+    the settled pattern, on fixed entry patterns and with the dense steps'
+    bits.  Returns rho's entry vector, the ``_Pattern`` it is held on (the
+    settled one unless no sweep ran) and the cooling report."""
+    held_at, step, block_at, edges, noisy = _cooled_maps(trotter.g2, trotter.dt)
     n = len(step[0])
     block = np.zeros(n * n, dtype=complex)
     block.put(held_at, x[:-1])
     stepped = np.zeros(len(noisy.positions), dtype=complex)
     stepped.put(block_at, _block_trotter_step(block.reshape(n, n), *step))
     x = np.append(_packed_noise(stepped, edges, noise), 0)
-    x, report = _cool_entries(x, noisy, held, [_entry_overlap(x, noisy)], tol, max_sweeps)
-    return x, held if report.sweeps_used else noisy, report
+    x, report = _cool_entries(x, noisy, [_entry_overlap(x, noisy)], tol, max_sweeps)
+    return x, _settled() if report.sweeps_used else noisy, report
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
@@ -162,7 +162,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
     The noiseless reference state is advanced in parallel so the fidelity
     column always compares against the ideal trajectory at the same time.
-    With cooling, rho is held on the held pattern of ``_cooled_maps``
+    With cooling, rho is held on the settled pattern (``cooling._settled``)
     between steps, from the vacuum on; a step that needs no sweep leaves it
     off that pattern, and the dense steps take over.
     """
@@ -170,8 +170,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     noise = cfg.noise_spec()
     psi = vacuum_state()
     rho = held = None
-    if cfg.cool:  # |0><0| is the held pattern's first entry
-        held = np.zeros(len(_cooled_maps(trotter.g2, trotter.dt)[-1].positions) + 1, dtype=complex)
+    if cfg.cool:  # |0><0| is the settled pattern's first entry
+        held = np.zeros(len(_settled().positions) + 1, dtype=complex)
         held[0] = 1.0
     else:
         rho = np.outer(psi, psi.conj())

@@ -36,16 +36,15 @@ The dense 625-dim references (``recovery_kraus`` and ``syndrome_operator``)
 are these pair operators lifted by ``lattice.lift_pair``; the kernels are
 tested against them.
 
-One sweep leaves any rho on a fixed pattern of 459 entries between 31
-basis states (``_swept`` derives it by pushing the superoperator's nonzeros
-through a sweep from every entry).  ``iterative_cooling`` therefore refuses
-a rho with a non-finite entry, runs sweep 0 with the dense kernel, cuts the
-459 entries out of rho, and runs every later sweep and overlap read on them
-as an entry vector, through flat index maps (``_Pattern``): each vertex
-stage multiplies the superoperator's 25 connected blocks (``_pair_blocks``)
-with entries gathered from the vector, which gives the dense kernel's bits.
-A cooled ``evolve`` step runs its sweeps the same way: sweep 0 on the
-entries that its noise can write, the later ones on the 359 that it writes.
+One sweep leaves any rho between 31 basis states, and a sweep writes the
+961 entries between them onto themselves (``_settled``).  ``iterative_cooling``
+therefore refuses a rho with a non-finite entry, runs sweep 0 with the dense
+kernel, cuts those entries out of rho, and runs every later sweep and overlap
+read on them as an entry vector, through flat index maps (``_Pattern``): each
+vertex stage multiplies the superoperator's 25 connected blocks
+(``_pair_blocks``) with entries gathered from the vector, which gives the
+dense kernel's bits.  A cooled ``evolve`` step sweeps the entries its noise
+can write onto the same 961.
 """
 
 from __future__ import annotations
@@ -441,12 +440,11 @@ def _stage(held: np.ndarray, v: int, into: np.ndarray | None = None, coordinates
     return stage, into
 
 
-def _pattern(positions: np.ndarray, into: np.ndarray | None = None):
+def _pattern(positions: np.ndarray, into: np.ndarray) -> _Pattern:
     """The maps of rho held on ``positions``: per vertex, the entries whose
     spectator ket and bra agree, which the reduced pair state sums at each
     pair slot in position order, that is spectator by spectator as the dense
-    read sums them; and one sweep, whose last stage writes onto ``into`` or
-    else onto what it can write, which is returned beside the ``_Pattern``."""
+    read sums them; and one sweep, whose last stage writes onto ``into``."""
     overlap, stages, held = [], [], positions
     for v in range(N_VERTICES):
         pair, spectator = coordinates = _pair_coordinates(positions, v)
@@ -457,30 +455,9 @@ def _pattern(positions: np.ndarray, into: np.ndarray | None = None):
                              coordinates if v == 0 else None)
         stages.append(stage)
     overlap = tuple(np.concatenate(a) for a in zip(*overlap))
-    for a in (positions, held, *overlap):
+    for a in (positions, *overlap):
         a.setflags(write=False)
-    return _Pattern(positions, overlap, tuple(stages)), held
-
-
-@lru_cache(maxsize=1)
-def _swept() -> _Pattern:
-    """The swept pattern: every entry that one sweep from any rho can write.
-
-    Whatever rho holds, the recovery at v0 can write every row over every
-    spectator pair, that is every (ket, bra) of the states whose pair index
-    at v0 is a row's ket; the other three stages propagate that.  The
-    pattern's own sweep must write onto it again, which ``_stage`` checks."""
-    blocks = _pair_blocks()
-    at = _state_layout()[0]
-    states = np.zeros(TOTAL_DIM, dtype=bool)
-    states[at[0][_pair_superoperator()[0] // EDGE_DIM**2]] = True
-    on = states[at[1]]  # on[p, s]: the state with pair index p and spectator s at v1
-    ket, bra = np.divmod(blocks.columns, EDGE_DIM**2)
-    held = (on[ket][..., None] & on[bra][..., None, :]).reshape(*ket.shape, -1)
-    held = np.sort(_reach(held, np.broadcast_to(np.arange(EDGE_DIM**4), held.shape[::2]), 1)[1])
-    for v in range(2, N_VERTICES):
-        held = _stage(held, v)[1]
-    return _pattern(held, held)[0]
+    return _Pattern(positions, overlap, tuple(stages))
 
 
 def _settled_states() -> np.ndarray:
@@ -492,6 +469,15 @@ def _settled_states() -> np.ndarray:
     for v in range(N_VERTICES):
         held[at[v]] = reach @ held[at[v]]
     return np.flatnonzero(held)
+
+
+@lru_cache(maxsize=1)
+def _settled() -> _Pattern:
+    """The settled pattern: all 961 entries between the settled states, the
+    vacuum's first.  Its own sweep writes onto it, which ``_stage`` checks."""
+    states = _settled_states()
+    block = (states[:, None] * TOTAL_DIM + states).ravel()
+    return _pattern(block, block)
 
 
 def _cool_stage(x: np.ndarray, stage: _Stage) -> np.ndarray:
@@ -515,33 +501,31 @@ def _entry_overlap(x: np.ndarray, pattern: _Pattern) -> float:
     return sum(weights.real.tolist()) / N_VERTICES
 
 
-def _cool_entries(x: np.ndarray, pattern: _Pattern, settled: _Pattern, overlaps: list[float],
-                  tol: float, max_sweeps: int) -> tuple[np.ndarray, CoolingReport]:
+def _cool_entries(x: np.ndarray, pattern: _Pattern, overlaps: list[float], tol: float,
+                  max_sweeps: int) -> tuple[np.ndarray, CoolingReport]:
     """``iterative_cooling`` on rho held on pattern, whose overlaps so far
-    (x's own last) are given: sweep onto ``settled``, the pattern that
-    pattern's sweep and its own write onto, until the overlap exceeds
-    1 - tol or max_sweeps sweeps have run."""
+    (x's own last) are given: sweep onto the settled pattern until the
+    overlap exceeds 1 - tol or max_sweeps sweeps have run."""
     while overlaps[-1] <= 1.0 - tol and len(overlaps) <= max_sweeps:
         for stage in pattern.sweep:
             x = _cool_stage(x, stage)
-        pattern = settled
+        pattern = _settled()
         overlaps.append(_entry_overlap(x, pattern))
     return x, CoolingReport(overlaps, len(overlaps) - 1, overlaps[-1] > 1.0 - tol)
 
 
-def _swept_entries(rho: np.ndarray) -> np.ndarray:
-    """Cut a swept C-contiguous rho out onto the swept pattern: its values
+def _settled_entries(rho: np.ndarray) -> np.ndarray:
+    """Cut a swept C-contiguous rho out onto the settled pattern: its values
     there, and the trailing zero, as an entry vector; rho is left zero.
 
     Raises ValueError if rho is not finite, and AssertionError if any weight
-    lies off the swept pattern, which ``_swept`` proves a sweep cannot
-    leave."""
-    positions = _swept().positions
+    lies off the settled pattern, where no sweep can leave it."""
+    positions = _settled().positions
     x = np.append(rho.take(positions), 0)
     rho.put(positions, 0)
     off = rho.any()
     if off and np.isfinite(rho).all():
-        raise AssertionError("a sweep left weight off the swept pattern")
+        raise AssertionError("a sweep left weight off the settled pattern")
     if off or not np.isfinite(x).all():
         raise ValueError("rho has non-finite entries")
     return x
@@ -560,8 +544,8 @@ def iterative_cooling(
     """Sweep until the GI overlap exceeds 1 - tol or max_sweeps is reached.
 
     A rho with a non-finite entry is a ValueError.  Sweep 0 is dense; the
-    later sweeps and every overlap after it run on the entries that one
-    sweep provably leaves (``_swept``)."""
+    later sweeps and every overlap after it run on the settled pattern
+    (``_settled``)."""
     _check_cooling_parameters(tol, max_sweeps)
     # the kernels read only some entries, so a NaN elsewhere would be dropped
     if not np.isfinite(rho).all():
@@ -574,8 +558,8 @@ def iterative_cooling(
     rho = np.array(rho, dtype=complex, order="C")
     for v in range(N_VERTICES):
         _cool_into(rho, rho, v)
-    x = _swept_entries(rho)
-    overlaps.append(_entry_overlap(x, _swept()))
-    x, report = _cool_entries(x, _swept(), _swept(), overlaps, tol, max_sweeps)
-    rho.put(_swept().positions, x[:-1])
+    x = _settled_entries(rho)
+    overlaps.append(_entry_overlap(x, _settled()))
+    x, report = _cool_entries(x, _settled(), overlaps, tol, max_sweeps)
+    rho.put(_settled().positions, x[:-1])
     return rho, report

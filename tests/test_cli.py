@@ -398,11 +398,11 @@ def dense_step(rho, trotter, noise):
 
 @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
 def test_cooled_step_matches_the_dense_steps_on_random_states(kind):
-    """Random states, put on the held pattern by a sweep, a noisy step and a
-    sweep: not only the trajectory's."""
+    """Random states, put on the settled pattern by a sweep, a noisy step and
+    a sweep: not only the trajectory's."""
     rng = np.random.default_rng(7)
     trotter, noise = TrotterConfig(g2=1.3, total_time=0.2, n_steps=1), NoiseSpec(kind, 0.2)
-    positions = cli._cooled_maps(trotter.g2, trotter.dt)[-1].positions
+    positions = cooling._settled().positions
     for rank in (1, 8, TOTAL_DIM):
         a = rng.standard_normal((TOTAL_DIM, rank)) + 1j * rng.standard_normal((TOTAL_DIM, rank))
         rho = cooling_sweep(a @ a.conj().T / np.linalg.norm(a) ** 2)
@@ -422,7 +422,7 @@ def test_cooled_step_matches_the_dense_steps_on_random_states(kind):
 def test_a_warm_cooled_step_allocates_less_than_one_dense_array():
     trotter = TrotterConfig(g2=1.0, total_time=0.1, n_steps=1)
     noise = NoiseSpec("depolarizing", 0.01)
-    x = np.zeros(len(cli._cooled_maps(trotter.g2, trotter.dt)[-1].positions) + 1, dtype=complex)
+    x = np.zeros(len(cooling._settled().positions) + 1, dtype=complex)
     x[0] = 1.0
     x = cli._cooled_step(x, trotter, noise, 1e-5, 10)[0]
     started = not tracemalloc.is_tracing()
@@ -442,14 +442,13 @@ def test_a_warm_cooled_step_allocates_less_than_one_dense_array():
 
 def test_a_cold_cooled_evolve_derives_only_its_own_patterns(monkeypatch, tmp_path):
     """From cleared caches, a cooled evolve derives its maps in two passes of
-    four stages, over its noisy pattern and over the held pattern that one
-    writes; it never proves the swept pattern, and what it keeps is less
-    than one dense array."""
-    stages, proofs = [], []
-    stage, prove = cooling._stage, cooling._swept
+    four stages, over the settled pattern and over its noisy pattern, and
+    what it keeps is less than one dense array; iterative_cooling and
+    converge then sweep on the same settled pattern and derive nothing."""
+    stages = []
+    stage = cooling._stage
     monkeypatch.setattr(cooling, "_stage", lambda *a, **kw: stages.append(a[1]) or stage(*a, **kw))
-    monkeypatch.setattr(cooling, "_swept", lambda: proofs.append(1) or prove())
-    for cache in (cli._cooled_maps, prove, cooling._state_layout):
+    for cache in (cli._cooled_maps, cooling._settled, cooling._state_layout):
         cache.cache_clear()
     argv = ["evolve", "--cool", "on", "--rate", "0.01", "--steps", "2", "--time", "0.2"]
     started = not tracemalloc.is_tracing()
@@ -465,5 +464,8 @@ def test_a_cold_cooled_evolve_derives_only_its_own_patterns(monkeypatch, tmp_pat
         if started:
             tracemalloc.stop()
     assert stages == [0, 1, 2, 3] * 2
-    assert not proofs
     assert after - before < TOTAL_DIM**2 * np.dtype(complex).itemsize
+    _, report = dense_cooled_chain("depolarizing", 0.01, 1)[0]
+    assert report.sweeps_used == 10
+    assert main(["converge", "--rate", "0.01", "--out", str(tmp_path / "converge.csv")]) == 0
+    assert stages == [0, 1, 2, 3] * 2

@@ -12,10 +12,10 @@ from gaugecool.cooling import (
     _cool_stage,
     _pair_blocks,
     _pair_superoperator,
+    _settled,
+    _settled_entries,
     _settled_states,
     _stage,
-    _swept,
-    _swept_entries,
     Syndrome,
     cool_vertex,
     cooling_sweep,
@@ -407,12 +407,12 @@ def test_one_sweep_settles_any_input_on_31_states():
     assert [int(h.sum()) for h in stages] == [225, 115, 60, 31] + [31] * 8
     assert all(np.array_equal(a, b) for a, b in zip(stages[4:8], stages[8:]))
     assert np.array_equal(stages[7], stages[3])
-    swept = _swept()
-    for side in np.divmod(swept.positions, TOTAL_DIM):
-        assert np.array_equal(np.flatnonzero(np.bincount(side, minlength=TOTAL_DIM)),
-                              np.flatnonzero(stages[3]))
+    settled = _settled_states()
+    assert np.array_equal(settled, np.flatnonzero(stages[3]))
+    ket, bra = np.divmod(_settled().positions, TOTAL_DIM)
+    assert np.array_equal(ket, np.repeat(settled, 31)) and np.array_equal(bra, np.tile(settled, 31))
     # the states each later stage reads, as the 45-state support held them
-    held, states = swept.positions, []
+    held, states = _settled().positions, []
     for v in range(4):
         states.extend(np.divmod(held, TOTAL_DIM))
         held = _stage(held, v)[1]
@@ -442,23 +442,22 @@ def pattern_mask(positions):
 
 def test_the_swept_pattern_is_what_one_sweep_writes_from_anything():
     """Entry by entry, from the full 625^2 pattern: the stages hold 50,625,
-    9,325, 1,934 and 459 entries, the swept pattern is the last, and a sweep
-    from it stays on it."""
+    9,325, 1,934 and 459 entries, the last lie in the settled pattern, and a
+    sweep from the settled pattern writes onto it again."""
     stages = kraus_sweep(np.ones((TOTAL_DIM, TOTAL_DIM)))
     assert [int(s.sum()) for s in stages] == [50625, 9325, 1934, 459]
-    swept = _swept()
-    assert len(swept.positions) == 459
-    assert np.array_equal(pattern_mask(swept.positions), stages[-1])
-    again = kraus_sweep(stages[-1].astype(float))
-    assert not np.any(again[-1] & ~stages[-1])
+    settled = _settled()
+    assert len(settled.positions) == 961 and settled.positions[0] == 0
+    assert not np.any(stages[-1] & ~pattern_mask(settled.positions))
+    again = kraus_sweep(pattern_mask(settled.positions).astype(float))
+    assert not np.any(again[-1] & ~pattern_mask(settled.positions))
     # the stage maps keep what the superoperator's nonzeros reach, within the Kraus propagation
-    held = swept.positions
+    held = settled.positions
     for v, reached in zip(range(4), again):
-        stage, into = _stage(held, v, swept.positions if v == 3 else None)
-        held = into[stage.target]
-        assert not np.any(pattern_mask(held) & ~reached)
-    assert [len(s.keep) for s in swept.sweep] == [359, 351, 351, 351]
-    assert [s.size for s in swept.sweep] == [359, 351, 351, 459]
+        stage, held = _stage(held, v, settled.positions if v == 3 else None)
+        assert not np.any(pattern_mask(held[stage.target]) & ~reached)
+    assert [len(s.keep) for s in settled.sweep] == [565, 367, 351, 351]
+    assert [s.size for s in settled.sweep] == [565, 367, 351, 961]
 
 
 def superoperator_sweep(held, vertices=range(4)):
@@ -481,13 +480,12 @@ def test_the_cooled_step_patterns_are_closed():
     """Propagate each stage of a cooled step from the full pattern before it:
     U's nonzeros from the full block of the settled states, a channel with
     nonnegative coefficients on a nonnegative block for the noise, and the
-    superoperator's nonzeros for the sweep.  The held pattern is what the
-    sweep writes from the noisy pattern, its own sweep writes onto it again,
-    and it lies between the settled states, where the step starts."""
-    held_at, step, block_at, edges, noisy, held = _cooled_maps(1.0, 0.1)
-    settled = np.flatnonzero(np.bincount(_swept().positions // TOTAL_DIM, minlength=TOTAL_DIM))
+    superoperator's nonzeros for the sweep.  The noisy pattern's sweep writes
+    exactly what the superoperator reaches, and that lies in the settled
+    pattern, where the step starts."""
+    held_at, step, block_at, edges, noisy = _cooled_maps(1.0, 0.1)
+    settled = _settled_states()
     assert len(settled) == 31
-    assert np.array_equal(_settled_states(), settled)
     u = (trotter_unitary(1.0, 0.1) != 0).astype(float)
     full = np.zeros((TOTAL_DIM, TOTAL_DIM))
     full[np.ix_(settled, settled)] = 1.0
@@ -498,34 +496,30 @@ def test_the_cooled_step_patterns_are_closed():
     assert np.array_equal(np.flatnonzero(stepped.any(axis=0)), reached)
     assert len(noisy.positions) == 9593
     swept_noisy = superoperator_sweep(pattern_mask(noisy.positions).astype(float))
-    assert np.array_equal(pattern_mask(held.positions), swept_noisy[-1])
+    assert int(swept_noisy[-1].sum()) == 359
+    assert not np.any(swept_noisy[-1] & ~pattern_mask(_settled().positions))
     for kind in ("depolarizing", "amplitude_damping"):
         out = apply_noise_all_edges(stepped.astype(complex), NoiseSpec(kind, 0.3)) != 0
         assert not np.any(out & ~pattern_mask(noisy.positions))
         if kind == "depolarizing":
             assert np.array_equal(out, pattern_mask(noisy.positions))
         assert not np.any(superoperator_sweep(out.astype(float))[-1] & ~swept_noisy[-1])
-    again = superoperator_sweep(swept_noisy[-1].astype(float))[-1]
-    assert not np.any(again & ~swept_noisy[-1])
     # the Kraus operators one by one bound the superoperator's reach
     stages = kraus_sweep(pattern_mask(noisy.positions).astype(float))
     assert [int(s.sum()) for s in stages] == [2943, 1037, 596, 391]
     for by_kraus, by_superoperator in zip(stages, swept_noisy):
         assert not np.any(by_superoperator & ~by_kraus)
-    ket, bra = np.divmod(held.positions, TOTAL_DIM)
-    assert held.positions[0] == 0 and np.isin(ket, settled).all() and np.isin(bra, settled).all()
+    ket, bra = np.divmod(_settled().positions, TOTAL_DIM)
     assert np.array_equal(np.take(reached, held_at // len(reached)), ket)
     assert np.array_equal(np.take(reached, held_at % len(reached)), bra)
     # each stage writes what the superoperator's nonzeros reach
-    for pattern in (noisy, held):
+    for pattern in (noisy, _settled()):
         at = pattern.positions
         for v, reached_v in enumerate(superoperator_sweep(pattern_mask(at).astype(float))):
-            stage, at = _stage(at, v, held.positions if v == 3 else None)
+            stage, at = _stage(at, v, _settled().positions if v == 3 else None)
             assert np.array_equal(pattern_mask(at[stage.target]), reached_v)
-    assert [s.size for s in noisy.sweep] == [2943, 1037, 596, 359]
+    assert [s.size for s in noisy.sweep] == [2943, 1037, 596, 961]
     assert [len(s.keep) for s in noisy.sweep] == [2943, 1037, 596, 359]
-    assert [s.size for s in held.sweep] == [351, 351, 351, 359]
-    assert [len(s.keep) for s in held.sweep] == [351, 351, 351, 351]
 
 
 def test_pair_blocks_hold_the_superoperator():
@@ -546,22 +540,26 @@ def test_pair_blocks_hold_the_superoperator():
 
 @pytest.mark.parametrize("which", ["swept", "noisy", "held"])
 def test_stage_kernel_gives_the_dense_bits_on_random_states(which):
-    """A sweep on the swept pattern, sweep 0 of a cooled step on the entries
-    its noise can write, and a later sweep on the entries that one writes,
-    against dense vertex by vertex."""
-    *_, noisy, held = _cooled_maps(1.0, 0.1)
-    pattern, written = {"swept": (_swept(), _swept()), "noisy": (noisy, held),
-                        "held": (held, held)}[which]
+    """A sweep on the settled pattern, where any swept rho lies; sweep 0 of a
+    cooled step on the entries its noise can write; and a later sweep from
+    the entries that one writes, as a cooled evolve holds rho.  Against dense
+    vertex by vertex: each writes onto the settled pattern."""
+    noisy = _cooled_maps(1.0, 0.1)[-1]
+    pattern = noisy if which == "noisy" else _settled()
     rng = np.random.default_rng(5)
     n = len(pattern.positions)
     x = np.append(rng.standard_normal(n) + 1j * rng.standard_normal(n), 0)
+    if which == "held":
+        written = noisy.sweep[-1].target
+        assert len(written) == 359
+        x[np.setdiff1d(np.arange(n), written)] = 0
     rho = np.zeros(TOTAL_DIM**2, dtype=complex)
     rho[pattern.positions] = x[:-1]
     rho = rho.reshape(TOTAL_DIM, TOTAL_DIM)
     for stage in pattern.sweep:
         x = _cool_stage(x, stage)
         rho = cool_vertex(rho, stage.vertex)
-    positions = written.positions
+    positions = _settled().positions
     assert x[-1] == 0
     assert np.array_equal(rho.take(positions), x[:-1])
     assert not np.delete(rho.ravel(), positions).any()
@@ -613,27 +611,24 @@ def test_cooling_on_the_support_takes_any_layout_and_dtype(layout, entry_stages)
     assert np.array_equal(rho, before)
 
 
-def test_swept_entries_need_exact_zeros_off_the_swept_pattern():
+def test_settled_entries_need_exact_zeros_off_the_settled_pattern():
     rho = cooling_sweep(protocol_state())
-    positions = _swept().positions
-    settled = np.flatnonzero(np.bincount(positions // TOTAL_DIM, minlength=TOTAL_DIM))
+    positions = _settled().positions
+    settled = _settled_states()
     off = np.setdiff1d(np.arange(TOTAL_DIM), settled)[0]
     inside = settled[0]
-    # between settled states, but off the pattern
-    between = np.setdiff1d((settled[:, None] * TOTAL_DIM + settled).ravel(), positions)[0]
     for at, value, error in (
         ((off, off), 1e-300, AssertionError),
         ((inside, off), 1e-300, AssertionError),
-        (divmod(between, TOTAL_DIM), 1e-300, AssertionError),
         ((inside, inside), np.nan, ValueError),
         ((off, inside), np.inf, ValueError),
     ):
         bad = rho.copy()
         bad[at] = value
         with pytest.raises(error):
-            _swept_entries(bad)
+            _settled_entries(bad)
     cut = rho.copy()
-    x = _swept_entries(cut)
+    x = _settled_entries(cut)
     assert not cut.any() and len(x) == len(positions) + 1 and x[-1] == 0
     cut.put(positions, x[:-1])
     assert np.array_equal(cut, rho)

@@ -204,20 +204,14 @@ def test_hygiene_reads_one_sided_entries():
     assert min_eig == pytest.approx(-5e-10, rel=1e-12)
 
 
-def test_trotter_factors_cache_is_bounded():
-    bound = _trotter_factors.cache_info().maxsize
+@pytest.mark.parametrize("cache", [_trotter_factors, _class_trotter, cli._cooled_maps],
+                         ids=lambda cache: cache.__name__)
+def test_g2_dt_keyed_caches_are_bounded(cache):
+    bound = cache.cache_info().maxsize
     assert bound is not None
     for k in range(bound + 3):
-        _trotter_factors(1.0, 0.01 * (k + 1))
-    assert _trotter_factors.cache_info().currsize <= bound
-
-
-def test_class_trotter_cache_is_bounded():
-    bound = _class_trotter.cache_info().maxsize
-    assert bound is not None
-    for k in range(bound + 3):
-        _class_trotter(1.0, 0.01 * (k + 1))
-    assert _class_trotter.cache_info().currsize <= bound
+        cache(1.0, 0.01 * (k + 1))
+    assert cache.cache_info().currsize <= bound
 
 
 @pytest.mark.parametrize("g2, dt", [(1.0, 0.1), (0.5, 0.05), (2.0, 0.2), (1.3, 0.37)])

@@ -45,8 +45,8 @@ from gaugecool import cli
 from gaugecool.cooling import (
     _pair_blocks,
     _pair_superoperator,
+    _settled,
     _state_layout,
-    _swept,
     cool_vertex,
     iterative_cooling,
     recovery_kraus,
@@ -327,18 +327,17 @@ def test_gauge_casimir_is_the_sum_of_squared_generators():
 
 def test_dense_operator_builders_retain_no_dense_array():
     """No cache keeps a dense 625x625 operator once its caller drops it;
-    cooling on the swept pattern, the cooled step on its entry patterns, and
+    cooling on the settled pattern, the cooled step on its entry patterns, and
     the class-packed Trotter step, noise and hygiene, keep only their small
     index maps."""
     vac = vacuum_state()
     noisy = depolarizing_channel(np.outer(vac, vac.conj()), 0, 0.05)
     assert pack(noisy) is not None
+    held = np.zeros(len(_settled().positions) + 1, dtype=complex)
     # built inside the window, whatever ran before
-    for cache in (charge_classes, _class_edge_maps, _pair_blocks, _state_layout, _swept,
+    for cache in (charge_classes, _class_edge_maps, _pair_blocks, _state_layout, _settled,
                   cli._cooled_maps):
         cache.cache_clear()
-    held = np.zeros(len(cli._cooled_maps(1.0, 0.37)[-1].positions) + 1, dtype=complex)
-    cli._cooled_maps.cache_clear()
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
