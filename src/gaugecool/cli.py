@@ -11,6 +11,9 @@ Four subcommands:
 * ``check``    -- invariant suites with a pass/fail report per line;
   exit 0 iff everything passes.
 
+``kl-audit`` and ``check`` import ``klaudit`` and ``tdesign`` inside their
+functions, so an ``evolve`` or ``converge`` process never loads them.
+
 All CSV output is deterministic: fixed header, 12 significant digits,
 LF line endings, no timestamps.  Exit codes: 0 success, 1 check failure,
 2 usage error.
@@ -47,25 +50,7 @@ from .hamiltonian import (
     magnetic_hamiltonian,
     magnetic_plaquette_matrix,
 )
-from .klaudit import (
-    convention_audit,
-    detection_check,
-    kl_product,
-    multiplicity_map,
-    residual_pauli_weights,
-    wigner_eckart_residual,
-)
 from .lattice import TOTAL_DIM, gauge_casimir, vacuum_state
-from .tdesign import (
-    binary_octahedral_design,
-    discrete_syndrome_check,
-    embed_unitary,
-    qft_kernel_check,
-    read_design,
-    required_design_strength,
-    tdesign_deviations,
-    truncated_qft,
-)
 
 __all__ = ["RunConfig", "main", "build_parser"]
 
@@ -227,6 +212,8 @@ def cmd_converge(cfg: RunConfig) -> int:
 
 def cmd_kl_audit(out: str | None) -> int:
     """Section-tagged CSV: detection norms, pair products, residual weights."""
+    from .klaudit import detection_check, kl_product, multiplicity_map, residual_pauli_weights
+
     rows = []
     for pauli in ("X", "Y", "Z"):
         for edge in range(4):
@@ -271,12 +258,16 @@ def _suite_hamiltonian(seed: int) -> list[tuple[str, float, float]]:
 
 
 def _load_design(design_file: str | None):
+    from .tdesign import binary_octahedral_design, read_design
+
     if design_file is None:
         return binary_octahedral_design()
     return read_design(design_file)
 
 
 def _suite_tdesign(design_file: str | None) -> list[tuple[str, float, float]]:
+    from .tdesign import discrete_syndrome_check, required_design_strength, tdesign_deviations
+
     checks = []
     design = _load_design(design_file)
     devs = tdesign_deviations(design, design.claimed_t)
@@ -314,6 +305,8 @@ def _suite_tdesign(design_file: str | None) -> list[tuple[str, float, float]]:
 
 
 def _suite_qft(design_file: str | None) -> list[tuple[str, float, float]]:
+    from .tdesign import embed_unitary, qft_kernel_check, truncated_qft
+
     checks = []
     design = _load_design(design_file)
     for j_cut in (Fraction(1, 2), Fraction(1)):
@@ -344,6 +337,8 @@ def _suite_qft(design_file: str | None) -> list[tuple[str, float, float]]:
 
 
 def _suite_detection() -> list[tuple[str, float, float]]:
+    from .klaudit import convention_audit, detection_check, wigner_eckart_residual
+
     checks = []
     for pauli in ("X", "Y", "Z"):
         for edge in range(4):

@@ -30,8 +30,8 @@ and the same k serve every vertex.  ``cool_vertex`` reads rho through
 ``lattice.local_view`` as (pair ket, pair bra) x (spectator ket, spectator
 bra) and applies the pair superoperator sum_{J,N} k (x) conj(k) to the rows,
 one connected block of it at a time (``_pair_blocks``);
-``gi_overlap`` and ``syndrome_probabilities`` read the same per-vertex sector
-weights, traces of 25x25 pair projectors against the reduced pair state.
+``syndrome_probabilities`` and ``gi_overlap`` (the singlet's only) read
+per-vertex sector weights: 25x25 pair projectors traced against the pair state.
 The dense 625-dim references (``recovery_kraus`` and ``syndrome_operator``)
 are these pair operators lifted by ``lattice.lift_pair``; the kernels are
 tested against them.
@@ -232,10 +232,14 @@ def _pair_projectors() -> dict[tuple[int, int], np.ndarray]:
     return projectors
 
 
+def _pair_state(rho: np.ndarray, v: int) -> np.ndarray:
+    """The reduced state of vertex v's edge pair, 25x25."""
+    return np.einsum("abcdefef->abcd", local_view(rho, vertex_edges(v))).reshape(EDGE_DIM**2, -1)
+
+
 def _sector_weights(rho: np.ndarray, v: int) -> dict[tuple[int, int], float]:
     """tr(P_N^J rho) at vertex v for every (2J, 2N), from the reduced pair state."""
-    pair = np.einsum("abcdefef->abcd", local_view(rho, vertex_edges(v)))
-    pair = pair.reshape(EDGE_DIM**2, EDGE_DIM**2)
+    pair = _pair_state(rho, v)
     return {
         key: float(np.real(np.einsum("ij,ji->", p, pair)))
         for key, p in _pair_projectors().items()
@@ -291,7 +295,9 @@ def cooling_sweep(rho: np.ndarray) -> np.ndarray:
 
 def gi_overlap(rho: np.ndarray) -> float:
     """(1/4) sum_v tr(Pi_0^(v) rho): average vertex singlet-sector weight."""
-    return sum(_sector_weights(rho, v)[0, 0] for v in range(N_VERTICES)) / N_VERTICES
+    singlet = _pair_projectors()[0, 0]
+    return sum(float(np.real(np.einsum("ij,ji->", singlet, _pair_state(rho, v))))
+               for v in range(N_VERTICES)) / N_VERTICES
 
 
 class _Stage(NamedTuple):

@@ -1,7 +1,8 @@
 """Trotter time evolution and noise channels on the plaquette density matrix.
 
 First-order Trotter step U = exp(-i H_E dt) exp(-i H_B dt), applied to kets
-magnetic factor first.  H_B moves only 161 of the 625 basis states, and its
+magnetic factor first.  H_B moves only 161 of the 625 basis states; its
+block on them comes from the plaquette's 256 nonzeros, with no dense H_B.  Its
 nonzero graph splits them into 41 connected blocks of at most 17 states, so
 ``herm_expm`` runs on each block and exp(-i H_B dt) is exactly 1 on the other
 464 states; the electric factor is diagonal.  U is block diagonal with 1,345
@@ -50,7 +51,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .hamiltonian import electric_edge_term, magnetic_hamiltonian
+from .hamiltonian import _plaquette_entries, electric_edge_term
 from .lattice import (
     EDGE_DIM,
     N_EDGES,
@@ -128,11 +129,20 @@ def _trotter_factors(g2: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.n
 
     ``moved`` lists the states H_B moves, ``block`` is U on them (dense,
     161x161) and ``phases`` is exp(-i H_E dt), U's diagonal on every other
-    state.  exp(-i H_B dt) is exponentiated on each connected block of H_B's
+    state.  H_B's block is built on the states the plaquette's entries touch,
+    in ``magnetic_hamiltonian``'s complex arithmetic: the same bits and zero
+    signs.  exp(-i H_B dt) is exponentiated on each connected block of H_B's
     nonzero graph, one stack per block size, and is exact zero between blocks."""
-    hb = magnetic_hamiltonian(g2)
-    moved = np.flatnonzero(hb.any(axis=1))
-    hb = hb[np.ix_(moved, moved)]
+    _check_positive(g2, "g2")
+    if not np.isfinite(dt):
+        raise ValueError("dt must be a finite number")
+    rows, cols, values = _plaquette_entries()
+    touched = np.flatnonzero(np.bincount(np.concatenate([rows, cols]), minlength=TOTAL_DIM))
+    p = np.zeros((len(touched),) * 2, dtype=complex)
+    p[np.searchsorted(touched, rows), np.searchsorted(touched, cols)] = values
+    hb = -(p + p.conj().T) / (2.0 * g2)
+    keep = hb.any(axis=1)
+    moved, hb = touched[keep], hb[np.ix_(keep, keep)]
     block = np.zeros(hb.shape, dtype=complex)
     for idx in _blocks_by_size(_components(len(hb), *np.nonzero(hb))):
         ix = idx[:, :, None], idx[:, None, :]

@@ -12,7 +12,8 @@ operators around the plaquette.  Each edge carries the tensor
 (nonzero only for m' = a+m, n' = b+n, |j - 1/2| <= j' <= j + 1/2), and the
 625x625 plaquette matrix is the cyclic contraction of the four edge tensors
 over the fundamental indices a, b0, b1, b2.  The Hamiltonian is
-H_B = -(P + P^dagger) / (2 g^2).
+H_B = -(P + P^dagger) / (2 g^2).  P has 256 nonzeros, on 161 states, which
+``_plaquette_entries`` contracts directly; the dense P is scattered from them.
 
 ``haar_mc_oracle`` estimates the same plaquette matrix by Monte Carlo over
 Haar-random group elements on the four edges, with no Clebsch-Gordan input,
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import EDGE_DIM, N_EDGES, edge_basis, embed_edge_operator
+from .lattice import EDGE_DIM, N_EDGES, TOTAL_DIM, edge_basis, embed_edge_operator
 from .su2 import _check_count, _check_positive, clebsch_gordan, haar_batch
 
 __all__ = [
@@ -78,11 +79,13 @@ def _edge_tensor() -> np.ndarray:
     return t
 
 
-def magnetic_plaquette_matrix() -> np.ndarray:
-    """Cyclic contraction of the four edge tensors: the 625x625 matrix of the
-    plaquette trace (before the Hermitian part and -1/g^2 scaling).
+@lru_cache(maxsize=1)
+def _plaquette_entries() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values): the plaquette matrix's nonzero entries, read-only.
 
-    Contraction order: e0*e1 -> e2 -> e3 -> close the trace index.
+    Contraction order: e0*e1 -> e2 as krons, then e3 and the trace index entry
+    by entry: each entry sums its four (a, b2) terms in kron order from 0, as
+    the dense kron contraction does, so it has the same bits.
     """
     t = _edge_tensor()
     m01 = {
@@ -95,10 +98,25 @@ def magnetic_plaquette_matrix() -> np.ndarray:
         for a in range(2)
         for b2 in range(2)
     }
-    p = sum(
-        np.kron(m012[a, b2], t[b2, a]) for a in range(2) for b2 in range(2)
-    )
-    return p.astype(complex)
+    terms = [(m012[a, b2], t[b2, a]) for a in range(2) for b2 in range(2)]
+    i, j = np.nonzero(np.logical_or.reduce([m != 0 for m, _ in terms]))
+    k, n = np.nonzero(np.logical_or.reduce([e != 0 for _, e in terms]))
+    values = sum(np.multiply.outer(m[i, j], e[k, n]) for m, e in terms)
+    keep = values != 0
+    entries = (np.add.outer(i * EDGE_DIM, k)[keep], np.add.outer(j * EDGE_DIM, n)[keep],
+               values[keep])
+    for a in entries:
+        a.setflags(write=False)
+    return entries
+
+
+def magnetic_plaquette_matrix() -> np.ndarray:
+    """The 625x625 matrix of the plaquette trace (before the Hermitian part
+    and -1/g^2 scaling), scattered from ``_plaquette_entries``."""
+    rows, cols, values = _plaquette_entries()
+    p = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
+    p[rows, cols] = values
+    return p
 
 
 def magnetic_hamiltonian(g2: float = 1.0) -> np.ndarray:

@@ -178,6 +178,24 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_evolve_and_converge_load_no_audit_module():
+    """klaudit and tdesign serve only kl-audit and check; a run does not pay
+    for compiling them."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys, gaugecool.cli as cli; "
+         "cli.main(['evolve', '--cool', 'on', '--steps', '2', '--time', '0.2', "
+         "'--out', os.devnull]); "
+         "cli.main(['converge', '--max-sweeps', '2', '--out', os.devnull]); "
+         "print(sorted({'gaugecool.klaudit', 'gaugecool.tdesign'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_set_up_and_a_cooled_step_load_no_numpy_ma():
     """numpy imports numpy.ma lazily, on the first np.unique call; it costs a
     process more than a cooled step."""

@@ -1,5 +1,7 @@
 """Trotter evolution and noise-channel tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from gaugecool.dynamics import (
     _damping_kraus,
     _trotter_factors,
 )
-from gaugecool.hamiltonian import electric_hamiltonian, magnetic_hamiltonian
+from gaugecool.hamiltonian import _plaquette_entries, electric_hamiltonian, magnetic_hamiltonian
 from gaugecool.lattice import (
     EDGE_DIM,
     N_EDGES,
@@ -224,6 +226,37 @@ def test_trotter_step_state_matches_dense_unitary(g2, dt, shape):
     stepped = trotter_step_state(psi, cfg)
     assert stepped.shape == shape
     assert np.max(np.abs(stepped - trotter_unitary(g2, dt) @ psi)) <= 1e-15
+
+
+def test_trotter_unitary_rejects_non_finite_dt_and_bad_g2():
+    for dt in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="dt must be a finite number"):
+            trotter_unitary(1.0, dt)
+    for g2 in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="g2 must be a finite positive number"):
+            trotter_unitary(g2, 0.1)
+    # a negative dt steps backwards: still a unitary
+    u = trotter_unitary(1.0, -0.1)
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(TOTAL_DIM), atol=1e-12)
+
+
+def test_a_cold_trotter_factors_peaks_below_one_dense_array():
+    """From cleared caches, building the factors allocates less than one
+    625x625 complex array at any time."""
+    for cache in (_trotter_factors, _plaquette_entries):
+        cache.cache_clear()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _trotter_factors(1.0, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak - base < TOTAL_DIM**2 * np.dtype(complex).itemsize
 
 
 def test_trotter_unitary_zero_dt_is_identity():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gaugecool.dynamics import _trotter_factors, herm_expm
 from gaugecool.hamiltonian import (
     _edge_tensor,
     electric_edge_term,
@@ -13,6 +14,8 @@ from gaugecool.hamiltonian import (
 )
 from gaugecool.lattice import (
     TOTAL_DIM,
+    _blocks_by_size,
+    _components,
     edge_basis,
     edge_state_index,
     gauge_casimir,
@@ -57,6 +60,53 @@ def test_edge_tensor_selection_rules():
             for ip, (tjp, tmp, tnp) in enumerate(labels):
                 if tmp != ta + tm or tnp != tb + tn or abs(tjp - tj) != 1:
                     assert t[ai, bi, ip, i] == 0.0
+
+
+def dense_plaquette_matrix() -> np.ndarray:
+    """The plaquette matrix as the dense kron contraction of the four edge
+    tensors, e0*e1 -> e2 -> e3 -> close the trace index: the reference for
+    the entry-level contraction."""
+    t = _edge_tensor()
+    m01 = {
+        (a, b1): sum(np.kron(t[a, b0], t[b0, b1]) for b0 in range(2))
+        for a in range(2)
+        for b1 in range(2)
+    }
+    m012 = {
+        (a, b2): sum(np.kron(m01[a, b1], t[b1, b2]) for b1 in range(2))
+        for a in range(2)
+        for b2 in range(2)
+    }
+    p = sum(np.kron(m012[a, b2], t[b2, a]) for a in range(2) for b2 in range(2))
+    return p.astype(complex)
+
+
+def dense_magnetic_hamiltonian(g2: float) -> np.ndarray:
+    p = dense_plaquette_matrix()
+    return -(p + p.conj().T) / (2.0 * g2)
+
+
+def test_plaquette_entries_give_the_dense_contraction_bits():
+    assert magnetic_plaquette_matrix().tobytes() == dense_plaquette_matrix().tobytes()
+    assert np.count_nonzero(magnetic_plaquette_matrix()) == 256
+    for g2 in (1.0, 2.5, 0.7):
+        assert magnetic_hamiltonian(g2).tobytes() == dense_magnetic_hamiltonian(g2).tobytes()
+
+
+@pytest.mark.parametrize("g2, dt", [(1.0, 0.1), (2.5, 0.03), (0.7, 0.25)])
+def test_trotter_factors_give_the_bits_of_the_dense_magnetic_block(g2, dt):
+    """The moved block of the dense H_B, exponentiated on each connected
+    block of its nonzero graph, is U's block before the electric phase."""
+    hb = dense_magnetic_hamiltonian(g2)
+    moved = np.flatnonzero(hb.any(axis=1))
+    hb = hb[np.ix_(moved, moved)]
+    want = np.zeros(hb.shape, dtype=complex)
+    for idx in _blocks_by_size(_components(len(hb), *np.nonzero(hb))):
+        ix = idx[:, :, None], idx[:, None, :]
+        want[ix] = herm_expm(hb[ix], dt)
+    got_moved, block, phases = _trotter_factors(g2, dt)
+    assert got_moved.tobytes() == moved.tobytes()
+    assert block.tobytes() == (want * phases[moved, None]).tobytes()
 
 
 def test_magnetic_hermitian_real():
