@@ -11,6 +11,14 @@ Four subcommands:
 * ``check``    -- invariant suites with a pass/fail report per line;
   exit 0 iff everything passes.
 
+``evolve`` runs one loop for both ``--cool`` settings.  rho is held as an
+entry vector, positions plus values, from the vacuum on; each step runs the
+Trotter kernel on the class pairs the held entries touch, the edge noise on
+the entries it can write, and, with cooling, the sweeps onto the settled
+pattern.  The maps of each pattern are derived once per process and cached
+(at most 8 patterns).  Each step hands a fresh dense rho to the ``fidelity``
+and ``gi_overlap`` reads.
+
 ``kl-audit`` and ``check`` import ``klaudit`` and ``tdesign`` inside their
 functions, so an ``evolve`` or ``converge`` process never loads them.
 
@@ -30,15 +38,15 @@ from functools import lru_cache
 import numpy as np
 
 from .cooling import CoolingReport, _check_cooling_parameters, gi_overlap, iterative_cooling
-from .cooling import _cool_entries, _entry_overlap, _pattern, _settled, _settled_states
+from .cooling import _cool_entries, _entry_overlap, _pattern, _settled
 from .dynamics import (
     NoiseSpec,
     TrotterConfig,
-    _block_trotter,
-    _block_trotter_step,
+    _class_pairs,
     _noise_closure,
     _packed_edge_maps,
     _packed_noise,
+    _pair_trotter,
     apply_noise_all_edges,
     fidelity,
     trotter_step,
@@ -50,7 +58,7 @@ from .hamiltonian import (
     magnetic_hamiltonian,
     magnetic_plaquette_matrix,
 )
-from .lattice import TOTAL_DIM, gauge_casimir, vacuum_state
+from .lattice import TOTAL_DIM, charge_classes, gauge_casimir, vacuum_state
 
 __all__ = ["RunConfig", "main", "build_parser"]
 
@@ -110,36 +118,46 @@ def _warn_unconverged(reports: list[CoolingReport], tol: float) -> None:
 # evolve / converge
 
 
-@lru_cache(maxsize=4)
-def _cooled_maps(g2: float, dt: float):
-    """The maps of a cooled step at (g2, dt): the settled pattern's places in
-    the block of the states U reaches from the settled ones, that block's
-    Trotter step, its places in the noisy pattern (its ``_noise_closure``),
-    the noise maps there, and the maps of the noisy pattern, whose sweep
-    writes onto the settled one."""
-    reached, step = _block_trotter(g2, dt, _settled_states())
-    block = (reached[:, None] * TOTAL_DIM + reached).ravel()
-    noisy = _noise_closure(block)
-    ket, bra = np.searchsorted(reached, np.divmod(_settled().positions, TOTAL_DIM))
-    return ket * len(reached) + bra, step, np.searchsorted(noisy, block), \
-        _packed_edge_maps(noisy), _pattern(noisy, _settled().positions)
+@lru_cache(maxsize=8)
+def _step_maps(pattern: bytes):
+    """The maps of a step of rho held on ``pattern``, its sorted flat entries
+    as bytes: the class pairs the entries touch (``dynamics._class_pairs``),
+    each block entry's place in the held vector (its trailing zero where
+    none), the pattern the noise writes (the blocks' ``_noise_closure``), the
+    blocks' places in it and its noise maps."""
+    positions = np.frombuffer(pattern, dtype=int)
+    pairs = _class_pairs(positions)
+    at = np.searchsorted(positions, pairs.positions).clip(max=len(positions) - 1)
+    gather = np.where(positions[at] == pairs.positions, at, len(positions))
+    noisy = _noise_closure(pairs.positions)
+    place = np.searchsorted(noisy, pairs.positions)
+    return pairs, gather, noisy.tobytes(), place, _packed_edge_maps(noisy)
 
 
-def _cooled_step(x: np.ndarray, trotter: TrotterConfig, noise: NoiseSpec, tol: float,
-                 max_sweeps: int):
-    """A Trotter step, edge noise and ``iterative_cooling`` of rho held on
-    the settled pattern, on fixed entry patterns and with the dense steps'
-    bits.  Returns rho's entry vector, the ``_Pattern`` it is held on (the
-    settled one unless no sweep ran) and the cooling report."""
-    held_at, step, block_at, edges, noisy = _cooled_maps(trotter.g2, trotter.dt)
-    n = len(step[0])
-    block = np.zeros(n * n, dtype=complex)
-    block.put(held_at, x[:-1])
-    stepped = np.zeros(len(noisy.positions), dtype=complex)
-    stepped.put(block_at, _block_trotter_step(block.reshape(n, n), *step))
-    x = np.append(_packed_noise(stepped, edges, noise), 0)
+@lru_cache(maxsize=8)
+def _sweep_maps(pattern: bytes):
+    """The ``_Pattern`` of rho held on ``pattern``, whose sweep writes onto the
+    settled pattern."""
+    return _pattern(np.frombuffer(pattern, dtype=int), _settled().positions)
+
+
+def _noisy_step(pattern: bytes, x: np.ndarray, trotter: TrotterConfig, noise: NoiseSpec):
+    """A Trotter step and edge noise of rho held as the entry vector x on
+    ``pattern``, with the dense steps' bits: the pattern the noise writes,
+    and rho's entry vector there."""
+    pairs, gather, noisy, place, edges = _step_maps(pattern)
+    stepped = np.zeros(len(edges[0][0]), dtype=complex)  # one pair index per noisy entry
+    stepped.put(place, _pair_trotter(x.take(gather), pairs, trotter.g2, trotter.dt))
+    return noisy, np.append(_packed_noise(stepped, edges, noise), 0)
+
+
+def _cooled(pattern: bytes, x: np.ndarray, tol: float, max_sweeps: int):
+    """``iterative_cooling`` of rho held as x on ``pattern``: the pattern it is
+    held on after (the settled one unless no sweep ran), its entry vector and
+    the cooling report."""
+    noisy = _sweep_maps(pattern)
     x, report = _cool_entries(x, noisy, [_entry_overlap(x, noisy)], tol, max_sweeps)
-    return x, _settled() if report.sweeps_used else noisy, report
+    return (_settled().positions.tobytes() if report.sweeps_used else pattern), x, report
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
@@ -147,35 +165,27 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
     The noiseless reference state is advanced in parallel so the fidelity
     column always compares against the ideal trajectory at the same time.
-    With cooling, rho is held on the settled pattern (``cooling._settled``)
-    between steps, from the vacuum on; a step that needs no sweep leaves it
-    off that pattern, and the dense steps take over.
+    rho is held as an entry vector from the vacuum on: on the class-diagonal
+    entries (``lattice.charge_classes``) without cooling, which both steps
+    keep, and on the settled pattern (``cooling._settled``) with it.  A step
+    runs on the entries the last one wrote; a cooled step that needs no sweep
+    stays on its noisy pattern.
     """
     trotter = TrotterConfig(g2=cfg.g2, total_time=cfg.total_time, n_steps=cfg.n_steps)
     noise = cfg.noise_spec()
     psi = vacuum_state()
-    rho = held = None
-    if cfg.cool:  # |0><0| is the settled pattern's first entry
-        held = np.zeros(len(_settled().positions) + 1, dtype=complex)
-        held[0] = 1.0
-    else:
-        rho = np.outer(psi, psi.conj())
+    pattern = (_settled().positions if cfg.cool else np.sort(charge_classes().positions)).tobytes()
+    x = np.append(np.frombuffer(pattern, dtype=int) == 0, 0).astype(complex)  # |0><0|
     rows, reports, sweeps = [], [], 0
     for step in range(1, cfg.n_steps + 1):
         psi = trotter_step_state(psi, trotter)
-        if held is not None:
-            held, pattern, report = _cooled_step(held, trotter, noise, cfg.tol, cfg.max_sweeps)
-            rho = np.zeros(TOTAL_DIM**2, dtype=complex)  # fresh each step: a reader may keep it
-            rho[pattern.positions] = held[:-1]
-            rho = rho.reshape(TOTAL_DIM, TOTAL_DIM)
-            held = held if report.sweeps_used else None
-        else:
-            rho = apply_noise_all_edges(trotter_step(rho, trotter), noise)
-            if cfg.cool:
-                rho, report = iterative_cooling(rho, tol=cfg.tol, max_sweeps=cfg.max_sweeps)
+        pattern, x = _noisy_step(pattern, x, trotter, noise)
         if cfg.cool:
+            pattern, x, report = _cooled(pattern, x, cfg.tol, cfg.max_sweeps)
             reports.append(report)
             sweeps = report.sweeps_used
+        rho = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)  # fresh: a reader may keep it
+        rho.reshape(-1)[np.frombuffer(pattern, dtype=int)] = x[:-1]
         rows.append(
             f"{step},{_fmt(step * trotter.dt)},{_fmt(fidelity(rho, psi))},"
             f"{_fmt(gi_overlap(rho))},{sweeps}"

@@ -43,8 +43,11 @@ kernel, cuts those entries out of rho, and runs every later sweep and overlap
 read on them as an entry vector, through flat index maps (``_Pattern``): each
 vertex stage multiplies the superoperator's 25 connected blocks
 (``_pair_blocks``) with entries gathered from the vector, which gives the
-dense kernel's bits.  A cooled ``evolve`` step sweeps the entries its noise
-can write onto the same 961.
+dense kernel's bits.  `evolve` holds rho as an entry vector in one loop,
+cooled or not, and a cooled step sweeps the entries its noise wrote onto
+the same 961 through the same stages: from the settled pattern, or from the
+pattern a step that needed no sweep left rho on, each pattern's maps derived
+once (``_pattern``).
 """
 
 from __future__ import annotations

@@ -6,27 +6,31 @@ block on them comes from the plaquette's 256 nonzeros, with no dense H_B.  Its
 nonzero graph splits them into 41 connected blocks of at most 17 states, so
 ``herm_expm`` runs on each block and exp(-i H_B dt) is exactly 1 on the other
 464 states; the electric factor is diagonal.  U is block diagonal with 1,345
-nonzeros; the steps keep only its factors (``_trotter_factors``).  Both Trotter
-steps multiply the 161 moved entries (rows and columns of rho) by U's dense
-moved block and the other 464 by their electric phase.  ``trotter_unitary``
-assembles the dense U from the same factors, as a reference.
+nonzeros; the steps keep only its factors (``_trotter_factors``).  The state
+step multiplies the 161 moved entries of psi by U's dense moved block and the
+other 464 by their electric phase.  ``trotter_unitary`` assembles the dense U
+from the same factors, as a reference.  A g2 whose H_B = -(P + P^dagger)/(2 g2)
+or H_E does not fit a float is a ValueError.
 
 ``hygiene`` takes the minimum eigenvalue block by block as well: the spectrum
 of a matrix is the union of the spectra of its nonzero graph's connected
 blocks, so this is exact for any input (a dense input is one block).
 
 The Trotter step and every edge channel conserve each vertex's G_z charge as
-a weak symmetry: a rho that is zero between the 281 joint charge classes
-(``lattice.charge_classes``, at most 17 states each) stays so, and U is
-exactly zero between classes.  ``trotter_step``, ``apply_noise_all_edges``
-and ``hygiene`` therefore first try ``lattice.pack``; on its 2,273 entries
-they run one batched U_c rho_c U_c^dagger per class size, the four edges as
-fixed index arithmetic, and one ``eigvalsh`` per class stack.  Any other
-input takes the dense code, which is also the tests' oracle.  The choice
-rests on that exact property of the input alone.  A cooled ``evolve`` step
-calls the kernels below these functions on its own entry patterns:
-``_block_trotter_step`` and the edge arithmetic on any pattern that
-``_noise_closure`` closes.
+a weak symmetry: U is exactly zero between the 281 joint charge classes
+(``lattice.charge_classes``, at most 17 states each), so U rho U^dagger is
+U_c rho_cc' U_c'^dagger on each class pair (c, c'), and a rho that is zero
+between classes stays so.  One kernel, ``_pair_trotter``, steps every rho:
+one batched product per block shape over the class pairs that rho's entries
+touch (``_class_pairs``), and a block gives the same bits whichever pairs
+hold it.  ``trotter_step``, ``apply_noise_all_edges`` and ``hygiene`` first
+try ``lattice.pack``; on its 2,273 entries they run the c = c' blocks, the
+four edges as fixed index arithmetic, and one ``eigvalsh`` per class stack.
+Otherwise the Trotter step runs on the pairs rho's nonzeros touch, and the
+noise and ``hygiene`` take the dense code, which is also the tests' oracle.
+The choice rests on that exact property of the input alone.  `evolve` holds
+rho as entries and calls the kernel and the edge arithmetic itself, on any
+pattern that ``_noise_closure`` closes.
 
 Noise is applied edge-locally at the channel (Kraus) level:
 
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,8 +122,9 @@ def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, or for each matrix of a stack h[..., :, :],
     via eigendecomposition."""
     h = np.asarray(h)
-    if np.max(np.abs(h - h.conj().swapaxes(-1, -2))) > 1e-10:
-        raise ValueError("herm_expm requires a Hermitian matrix")
+    # a NaN fails no comparison, so finiteness is tested first
+    if not np.isfinite(h).all() or np.max(np.abs(h - h.conj().swapaxes(-1, -2))) > 1e-10:
+        raise ValueError("herm_expm requires a finite Hermitian matrix")
     evals, evecs = np.linalg.eigh(h)
     return (evecs * np.exp(-1j * t * evals)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
@@ -140,15 +146,18 @@ def _trotter_factors(g2: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.n
     touched = np.flatnonzero(np.bincount(np.concatenate([rows, cols]), minlength=TOTAL_DIM))
     p = np.zeros((len(touched),) * 2, dtype=complex)
     p[np.searchsorted(touched, rows), np.searchsorted(touched, cols)] = values
-    hb = -(p + p.conj().T) / (2.0 * g2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hb = -(p + p.conj().T) / (2.0 * g2)
+        # H_E's diagonal, read off the edge term: the four edges' energies summed, e0 slowest
+        energies = reduce(np.add.outer, [np.diag(electric_edge_term(g2)).real] * N_EDGES).ravel()
+    if not (np.isfinite(hb).all() and hb.any() and np.isfinite(energies).all()):
+        raise ValueError(f"g2 = {g2!r} is out of range: H_B or H_E overflows, or H_B is zero")
     keep = hb.any(axis=1)
     moved, hb = touched[keep], hb[np.ix_(keep, keep)]
     block = np.zeros(hb.shape, dtype=complex)
     for idx in _blocks_by_size(_components(len(hb), *np.nonzero(hb))):
         ix = idx[:, :, None], idx[:, None, :]
         block[ix] = herm_expm(hb[ix], dt)
-    # H_E's diagonal, read off the edge term: the four edges' energies summed, e0 slowest
-    energies = reduce(np.add.outer, [np.diag(electric_edge_term(g2)).real] * N_EDGES).ravel()
     phases = np.exp(-1j * dt * energies)
     block *= phases[moved, None]
     for a in (moved, block, phases):
@@ -166,38 +175,6 @@ def trotter_unitary(g2: float, dt: float) -> np.ndarray:
     return u
 
 
-def _block_trotter(g2: float, dt: float, states: np.ndarray):
-    """(reached, factors): the sorted states U moves the sorted ``states``
-    onto, and what ``_block_trotter_step`` needs beside rho's block on them.
-    Its products run over all moved states, as the dense step's do, so BLAS
-    sums each entry in the same blocks: the same bits."""
-    moved, block, phases = _trotter_factors(g2, dt)
-    at = np.full(TOTAL_DIM, -1)
-    at[moved] = np.arange(len(moved))
-    reach = np.zeros(TOTAL_DIM, dtype=bool)
-    reach[states] = True
-    reach[moved] |= block[:, reach[moved]].any(axis=1)
-    reached = np.flatnonzero(reach)
-    rows = np.flatnonzero(at[reached] >= 0)
-    place = at[reached[rows]]
-    return reached, (phases[reached], rows, place, block[place], block.conj().T[:, place])
-
-
-def _block_trotter_step(rho: np.ndarray, phases, rows, place, left, right) -> np.ndarray:
-    """``trotter_step``'s dense arithmetic on rho's block on the reached
-    states; ``rows`` places the moved ones in it, ``place`` among all moved."""
-    wide = np.zeros((len(right), len(rho)), dtype=complex)
-    wide[place] = rho[rows]
-    out = rho * phases[:, None]
-    out[rows] = left @ wide
-    wide = np.zeros((len(rho), len(right)), dtype=complex)
-    wide[:, place] = out[:, rows]
-    moved_cols = wide @ right
-    out *= phases.conj()
-    out[:, rows] = moved_cols
-    return out
-
-
 @lru_cache(maxsize=4)
 def _class_trotter(g2: float, dt: float) -> tuple[np.ndarray, ...]:
     """U on each ``charge_classes`` block, one (count, size, size) stack per
@@ -206,39 +183,89 @@ def _class_trotter(g2: float, dt: float) -> tuple[np.ndarray, ...]:
     moved, block, phases = _trotter_factors(g2, dt)
     at = np.full(TOTAL_DIM, -1)
     at[moved] = np.arange(len(moved))
-    stacks = []
-    for idx in charge_classes().stacks:
-        a = at[idx]
-        ket, bra = a[:, :, None], a[:, None, :]
-        u = np.where((ket >= 0) & (bra >= 0), block[ket, bra], 0)
-        diag = np.arange(idx.shape[1])
-        u[:, diag, diag] = np.where(a >= 0, u[:, diag, diag], phases[idx])
-        u.setflags(write=False)
-        stacks.append(u)
-    return tuple(stacks)
+    classes = charge_classes()
+    ket, bra = np.divmod(classes.positions, TOTAL_DIM)
+    a, b = at[ket], at[bra]
+    u = np.where((a >= 0) & (b >= 0), block[a, b], np.where(ket == bra, phases[ket], 0))
+    u.setflags(write=False)
+    return tuple(classes.blocks(u))
+
+
+class _ClassPairs(NamedTuple):
+    """The class pairs (c, c') whose block rho_cc' holds a given set of
+    entries, in block layout: grouped by the ``charge_classes`` stacks (s, t)
+    of c and c', so by block shape, and row-major within a group and within
+    a block.  ``positions`` lists the flat entries row * 625 + col of every
+    block in that order; ``groups`` holds (s, rows of c in s, t, rows of c'
+    in t) per group, the rows a slice where they are whole stacks."""
+
+    positions: np.ndarray
+    groups: tuple[tuple[int, object, int, object], ...]
+
+
+def _class_pairs(positions: np.ndarray) -> _ClassPairs:
+    """The ``_ClassPairs`` of every block that holds one of the flat entries
+    ``positions``: U rho U^dagger writes exactly these blocks."""
+    stacks = charge_classes().stacks
+    bounds = np.cumsum([0, *map(len, stacks)])
+    of = np.empty(TOTAL_DIM, dtype=int)  # each state's class, numbered stack by stack
+    for idx, start in zip(stacks, bounds):
+        of[idx] = start + np.arange(len(idx))[:, None]
+    ket = positions // TOTAL_DIM  # floor division by a constant is fast; divmod is not
+    touched = np.zeros((bounds[-1],) * 2, dtype=bool)
+    touched[of[ket], of[positions - ket * TOTAL_DIM]] = True
+    hit = np.logical_or.reduceat(np.logical_or.reduceat(touched, bounds[:-1]), bounds[:-1], axis=1)
+    groups, blocks = [], [np.zeros(0, dtype=int)]
+    for s, t in zip(*np.nonzero(hit)):  # the stack pairs holding a touched pair, ascending
+        left, right = np.nonzero(touched[bounds[s]:bounds[s + 1], bounds[t]:bounds[t + 1]])
+        ket, bra = stacks[s][left], stacks[t][right]
+        blocks.append((ket[:, :, None] * TOTAL_DIM + bra[:, None, :]).ravel())
+        if len(left) == len(stacks[s]) == len(stacks[t]) and np.array_equal(left, right):
+            left = right = slice(None)  # every class of the stack with itself
+        groups.append((s, left, t, right))
+    positions = np.concatenate(blocks)
+    positions.setflags(write=False)
+    return _ClassPairs(positions, tuple(groups))
+
+
+def _pair_trotter(blocks: np.ndarray, pairs: _ClassPairs, g2: float, dt: float) -> np.ndarray:
+    """U_c rho_cc' U_c'^dagger on every block of ``pairs``, which ``blocks``
+    holds in their layout (anything after them is not read): one batched
+    product per block shape, none larger than 17 states.  A block gives the
+    same bits whichever pairs hold it."""
+    unitaries = _class_trotter(g2, dt)
+    out = np.empty(len(pairs.positions), dtype=complex)
+    start = 0
+    for s, left, t, right in pairs.groups:
+        u, v = unitaries[s][left], unitaries[t][right].conj()
+        shape = (len(u), u.shape[1], v.shape[1])
+        end = start + shape[0] * shape[1] * shape[2]
+        np.matmul(u @ blocks[start:end].reshape(shape), v.swapaxes(1, 2),
+                  out=out[start:end].reshape(shape))
+        start = end
+    return out
+
+
+@lru_cache(maxsize=1)
+def _diagonal_pairs() -> _ClassPairs:
+    """The ``_ClassPairs`` of a class-diagonal rho: its blocks are the
+    ``charge_classes`` blocks, in ``pack``'s layout."""
+    return _class_pairs(charge_classes().positions)
 
 
 def trotter_step(rho: np.ndarray, cfg: TrotterConfig) -> np.ndarray:
     """One noiseless Trotter step of the density matrix, U rho U^dagger.
 
-    A class-diagonal rho (``lattice.pack``) steps block by block, one batched
-    product per class size.  Otherwise only the moved rows and columns need a
-    matmul; the rest take a phase."""
+    U is block diagonal on the charge classes, so rho steps block by block,
+    U_c rho_cc' U_c'^dagger on each class pair that rho's nonzeros touch.  A
+    class-diagonal rho (``lattice.pack``) steps on its packed entries."""
     packed = pack(rho)
     if packed is not None:
-        classes = charge_classes()
-        out = np.empty(packed.shape, dtype=complex)
-        for u, r, o in zip(_class_trotter(cfg.g2, cfg.dt), classes.blocks(packed),
-                           classes.blocks(out)):
-            np.matmul(u @ r, u.conj().swapaxes(1, 2), out=o)
-        return unpack(out)
-    moved, block, phases = _trotter_factors(cfg.g2, cfg.dt)
-    out = rho * phases[:, None]
-    out[moved] = block @ rho[moved]
-    moved_cols = out[:, moved] @ block.conj().T
-    out *= phases.conj()
-    out[:, moved] = moved_cols
-    return out
+        return unpack(_pair_trotter(packed, _diagonal_pairs(), cfg.g2, cfg.dt))
+    pairs = _class_pairs(np.flatnonzero(rho))
+    out = np.zeros(TOTAL_DIM * TOTAL_DIM, dtype=complex)
+    out[pairs.positions] = _pair_trotter(rho.take(pairs.positions), pairs, cfg.g2, cfg.dt)
+    return out.reshape(TOTAL_DIM, TOTAL_DIM)
 
 
 def trotter_step_state(psi: np.ndarray, cfg: TrotterConfig) -> np.ndarray:
@@ -286,15 +313,15 @@ def _packed_edge_maps(positions: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarr
     entries |i><i| on the edge, one per (other kets, other bras).  Wherever
     the positions hold one i they must hold all five, as the charge classes
     do (the edge shifts both sides' charges alike) and ``_noise_closure``'s."""
-    order = np.argsort(positions, kind="stable")  # a sorted pattern's is the identity
-    ascending = positions[order]
     row = positions // TOTAL_DIM  # floor division by a constant is fast; divmod is not
     maps = []
-    for e, digit in enumerate(np.indices((EDGE_DIM,) * N_EDGES).reshape(N_EDGES, -1)):
+    for digit in np.indices((EDGE_DIM,) * N_EDGES).reshape(N_EDGES, -1):
         ket, bra = digit[row], digit[positions - row * TOTAL_DIM]
-        step = (TOTAL_DIM + 1) * EDGE_DIM ** (N_EDGES - 1 - e)  # |i><i| to |i+1><i+1| on e
-        ground = positions[(ket == 0) & (bra == 0)]
-        diag = order[np.searchsorted(ascending, ground + step * np.arange(EDGE_DIM)[:, None])]
+        # the entries |i><i|, i by i and each i in position order: adding i to the
+        # edge's ket and bra keeps the order, so the k-th of each i has the same
+        # other digits
+        on = np.flatnonzero(ket == bra)
+        diag = on[np.argsort(ket[on] * TOTAL_DIM**2 + positions[on])].reshape(EDGE_DIM, -1)
         for a in (pair := ket * EDGE_DIM + bra, diag):
             a.setflags(write=False)
         maps.append((pair, diag))

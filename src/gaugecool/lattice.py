@@ -200,15 +200,16 @@ class ChargeClasses(NamedTuple):
 def charge_classes() -> ChargeClasses:
     """Classes of equal (G_z^0, G_z^1, G_z^2, G_z^3) eigenvalues.
 
-    Each G_z^v is diagonal in the product basis, and its value on a state
-    is read from the diagonal of the pair generator at the state's pair
-    index under v; the four doubled values in -2..2 make one integer key."""
+    Each G_z^v is diagonal in the product basis: -J_z^T on m of the
+    outgoing edge plus J_z on n of the incoming one, so its doubled value on
+    a state is 2n(e_in) - 2m(e_out), read off the edge labels.  The four
+    doubled values in -2..2 make one integer key."""
     digits = np.indices((EDGE_DIM,) * N_EDGES).reshape(N_EDGES, -1)
-    twice_gz = np.rint(2 * np.diag(_pair_generators()[2]).real).astype(int)
+    _, twice_m, twice_n = np.array(_EDGE_BASIS).T
     key = np.zeros(TOTAL_DIM, dtype=int)
     for v in range(N_VERTICES):
         e_out, e_in = vertex_edges(v)
-        key = 5 * key + 2 + twice_gz[EDGE_DIM * digits[e_out] + digits[e_in]]
+        key = 5 * key + 2 + twice_n[digits[e_in]] - twice_m[digits[e_out]]
     stacks = tuple(_blocks_by_size(key))
     positions = np.concatenate(
         [(idx[:, :, None] * TOTAL_DIM + idx[:, None, :]).ravel() for idx in stacks]

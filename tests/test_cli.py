@@ -20,7 +20,7 @@ from gaugecool.dynamics import (
     hygiene,
     trotter_step,
 )
-from gaugecool.lattice import TOTAL_DIM, vacuum_state
+from gaugecool.lattice import TOTAL_DIM, charge_classes, vacuum_state
 
 # the package source first on the path of a child interpreter, as pytest's
 # pythonpath setting does for this process
@@ -198,14 +198,18 @@ def test_evolve_and_converge_load_no_audit_module():
 
 def test_set_up_and_a_cooled_step_load_no_numpy_ma():
     """numpy imports numpy.ma lazily, on the first np.unique call; it costs a
-    process more than a cooled step."""
+    process more than a cooled step.  No held pattern's maps need it: not a
+    cooled step's, an uncooled one's, or the four of a cooled run without
+    sweeps."""
+    runs = [["--cool", "on", "--steps", "1", "--time", "0.1"],
+            ["--cool", "off", "--steps", "2", "--time", "0.2"],
+            ["--cool", "on", "--rate", "0", "--steps", "4", "--time", "0.4"]]
     proc = subprocess.run(
         [sys.executable, "-c",
          "import os, sys, gaugecool.cli as cli; "
          "from gaugecool.dynamics import trotter_unitary; "
          "trotter_unitary(1.0, 0.1); "
-         "cli.main(['evolve', '--cool', 'on', '--steps', '1', '--time', '0.1', "
-         "'--out', os.devnull]); "
+         f"[cli.main(['evolve', *argv, '--out', os.devnull]) for argv in {runs!r}]; "
          "print('numpy.ma' in sys.modules)"],
         capture_output=True,
         text=True,
@@ -294,12 +298,17 @@ def test_invalid_g2_is_usage_error(capsys):
         ["evolve", "--tol", "nan"],
         ["evolve", "--tol", "-1"],
         ["evolve", "--max-sweeps", "0"],
+        ["evolve", "--g2", "1e-320", "--cool", "on"],
+        ["evolve", "--g2", "1e-320", "--cool", "off"],
     ],
 )
 def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "ev.csv"
     assert main([*argv, "--steps", "2", "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if "1e-320" in argv:  # H_B = -(P + P^dagger)/(2 g2) overflows
+        assert "g2 = 1e-320 is out of range: H_B" in err
     assert not out.exists()
 
 
@@ -359,24 +368,26 @@ def dense_cooled_chain(kind, rate, steps, g2=1.0, dt=0.1):
 
 def cooled_evolve(monkeypatch, tmp_path, argv):
     """Run a cooled `evolve`, keeping each state it hands to gi_overlap, as
-    the benchmark does, and each cooling report."""
+    the benchmark does, and each cooling report; it never falls back to
+    ``iterative_cooling``."""
     states, reports = [], []
-    measure, step, cool = cli.gi_overlap, cli._cooled_step, cli.iterative_cooling
+    measure, cool = cli.gi_overlap, cli._cooled
 
     def keep_state(rho):
         states.append((rho, rho.copy()))
         return measure(rho)
 
-    def keep_report(func):
-        def wrapped(*args, **kwargs):
-            out = func(*args, **kwargs)
-            reports.append(out[-1])
-            return out
-        return wrapped
+    def keep_report(*args):
+        out = cool(*args)
+        reports.append(out[-1])
+        return out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cooled evolve called iterative_cooling")
 
     monkeypatch.setattr(cli, "gi_overlap", keep_state)
-    monkeypatch.setattr(cli, "_cooled_step", keep_report(step))
-    monkeypatch.setattr(cli, "iterative_cooling", keep_report(cool))
+    monkeypatch.setattr(cli, "_cooled", keep_report)
+    monkeypatch.setattr(cli, "iterative_cooling", refuse)
     assert main([*argv, "--cool", "on", "--out", str(tmp_path / "cooled.csv")]) == 0
     return states, reports
 
@@ -427,35 +438,74 @@ def test_cooled_step_matches_the_dense_steps_on_random_states(kind):
         rho = cooling_sweep(dense_step(rho, trotter, noise))
         x = np.append(rho.take(positions), 0)
         assert not np.delete(rho.ravel(), positions).any()
-        out, pattern, report = cli._cooled_step(x, trotter, noise, 1e-15, 3)
+        pattern, x = cli._noisy_step(positions.tobytes(), x, trotter, noise)
+        pattern, out, report = cli._cooled(pattern, x, 1e-15, 3)
         want, dense_report = iterative_cooling(dense_step(rho, trotter, noise), tol=1e-15,
                                                max_sweeps=3)
         got = np.zeros(TOTAL_DIM**2, dtype=complex)
-        got[pattern.positions] = out[:-1]
+        got[np.frombuffer(pattern, dtype=int)] = out[:-1]
         assert np.max(np.abs(got.reshape(TOTAL_DIM, TOTAL_DIM) - want)) <= 1e-13
         assert report.sweeps_used == dense_report.sweeps_used >= 1
         assert report.overlaps == dense_report.overlaps
 
 
-def test_a_warm_cooled_step_allocates_less_than_one_dense_array():
-    trotter = TrotterConfig(g2=1.0, total_time=0.1, n_steps=1)
-    noise = NoiseSpec("depolarizing", 0.01)
-    x = np.zeros(len(cooling._settled().positions) + 1, dtype=complex)
-    x[0] = 1.0
-    x = cli._cooled_step(x, trotter, noise, 1e-5, 10)[0]
+def traced_peak(func):
+    """func()'s result and the most it allocated at once, in bytes."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        x, _, report = cli._cooled_step(x, trotter, noise, 1e-5, 10)
+        out = func()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         if started:
             tracemalloc.stop()
-    assert report.sweeps_used == 10
-    assert peak - base < TOTAL_DIM**2 * np.dtype(complex).itemsize
+    return out, peak - base
+
+
+def test_a_warm_cooled_step_allocates_less_than_one_dense_array():
+    """A warm held step allocates less than one 625x625 complex array: cooled
+    with all 10 sweeps, cooled with none (at rate 0, on the 18,517 entries
+    such a run settles on) and uncooled.  The dense rho that `evolve` builds
+    for its reads is not part of the step."""
+    trotter = TrotterConfig(g2=1.0, total_time=0.1, n_steps=1)
+    settled, classes = cooling._settled().positions, np.sort(charge_classes().positions)
+    cases = [(settled, 0.01, True, 961, 10), (settled, 0.0, True, 18517, 0),
+             (classes, 0.01, False, 2273, None)]
+    for start, rate, cool, size, sweeps in cases:
+        noise = NoiseSpec("depolarizing", rate)
+        pattern = start.tobytes()
+        x = np.append(np.frombuffer(pattern, dtype=int) == 0, 0).astype(complex)
+
+        def step():
+            noisy, y = cli._noisy_step(pattern, x, trotter, noise)
+            return cli._cooled(noisy, y, 1e-5, 10) if cool else (noisy, y, None)
+
+        for _ in range(4):  # warm, and on the pattern the run keeps
+            pattern, x, report = step()
+        (_, x, report), peak = traced_peak(step)
+        assert len(x) - 1 == size
+        assert report is None if sweeps is None else report.sweeps_used == sweeps
+        assert peak < TOTAL_DIM**2 * np.dtype(complex).itemsize
+
+
+def test_a_cooled_run_without_sweeps_settles_on_four_patterns(monkeypatch, tmp_path):
+    """At rate 0 no step needs a sweep, so rho grows from the settled pattern
+    through the patterns the steps write, and the Trotter step's class pairs
+    and the noise close on 18,517 entries after three steps: at most four
+    patterns are derived, whatever the run's length."""
+    for cache in (cli._step_maps, cli._sweep_maps):
+        cache.cache_clear()
+    argv = ["evolve", "--cool", "on", "--rate", "0", "--steps", "8", "--time", "0.8"]
+    sizes = []
+    step = cli._noisy_step
+    monkeypatch.setattr(cli, "_noisy_step", lambda *a: sizes.append(len(a[1]) - 1) or step(*a))
+    assert main([*argv, "--out", str(tmp_path / "cooled.csv")]) == 0
+    assert sizes == [961, 9593, 18325] + [18517] * 5
+    assert cli._step_maps.cache_info().currsize == 4
+    assert cli._sweep_maps.cache_info().currsize == 3
 
 
 def test_a_cold_cooled_evolve_derives_only_its_own_patterns(monkeypatch, tmp_path):
@@ -466,7 +516,7 @@ def test_a_cold_cooled_evolve_derives_only_its_own_patterns(monkeypatch, tmp_pat
     stages = []
     stage = cooling._stage
     monkeypatch.setattr(cooling, "_stage", lambda *a, **kw: stages.append(a[1]) or stage(*a, **kw))
-    for cache in (cli._cooled_maps, cooling._settled, cooling._state_layout):
+    for cache in (cli._step_maps, cli._sweep_maps, cooling._settled, cooling._state_layout):
         cache.cache_clear()
     argv = ["evolve", "--cool", "on", "--rate", "0.01", "--steps", "2", "--time", "0.2"]
     started = not tracemalloc.is_tracing()

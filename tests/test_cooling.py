@@ -25,7 +25,7 @@ from gaugecool.cooling import (
     syndrome_operator,
     syndrome_probabilities,
 )
-from gaugecool.cli import _cooled_maps
+from gaugecool.cli import _step_maps, _sweep_maps
 from gaugecool.dynamics import (
     NoiseSpec,
     TrotterConfig,
@@ -38,6 +38,7 @@ from gaugecool.lattice import (
     EDGE_DIM,
     TOTAL_DIM,
     build_cg_basis,
+    charge_classes,
     local_view,
     physical_subspace_basis,
     singlet_projector,
@@ -483,7 +484,8 @@ def test_the_cooled_step_patterns_are_closed():
     superoperator's nonzeros for the sweep.  The noisy pattern's sweep writes
     exactly what the superoperator reaches, and that lies in the settled
     pattern, where the step starts."""
-    held_at, step, block_at, edges, noisy = _cooled_maps(1.0, 0.1)
+    pairs, gather, noisy, place, edges = _step_maps(_settled().positions.tobytes())
+    noisy = _sweep_maps(noisy)
     settled = _settled_states()
     assert len(settled) == 31
     u = (trotter_unitary(1.0, 0.1) != 0).astype(float)
@@ -492,7 +494,14 @@ def test_the_cooled_step_patterns_are_closed():
     stepped = u @ full @ u.T > 0
     reached = np.flatnonzero(stepped.any(axis=1))
     assert len(reached) == 45
-    assert np.array_equal(pattern_mask(noisy.positions[block_at]), stepped)
+    # U's nonzeros fill the 49 class pair blocks of the 7 classes the settled states lie in
+    of = np.empty(TOTAL_DIM, dtype=int)
+    of[np.concatenate([idx.ravel() for idx in charge_classes().stacks])] = np.repeat(
+        np.arange(281), [idx.shape[1] for idx in charge_classes().stacks for _ in idx])
+    ket, bra = np.divmod(pairs.positions, TOTAL_DIM)
+    assert len(pairs.positions) == 45**2 and len(set(zip(of[ket], of[bra]))) == 49
+    assert np.array_equal(pattern_mask(pairs.positions), stepped)
+    assert np.array_equal(noisy.positions[place], pairs.positions)
     assert np.array_equal(np.flatnonzero(stepped.any(axis=0)), reached)
     assert len(noisy.positions) == 9593
     swept_noisy = superoperator_sweep(pattern_mask(noisy.positions).astype(float))
@@ -509,9 +518,11 @@ def test_the_cooled_step_patterns_are_closed():
     assert [int(s.sum()) for s in stages] == [2943, 1037, 596, 391]
     for by_kraus, by_superoperator in zip(stages, swept_noisy):
         assert not np.any(by_superoperator & ~by_kraus)
-    ket, bra = np.divmod(_settled().positions, TOTAL_DIM)
-    assert np.array_equal(np.take(reached, held_at // len(reached)), ket)
-    assert np.array_equal(np.take(reached, held_at % len(reached)), bra)
+    # every settled entry lies in a block; the other block entries read the trailing zero
+    held = gather < len(settled) ** 2
+    assert np.array_equal(np.sort(gather[held]), np.arange(len(settled) ** 2))
+    assert np.array_equal(_settled().positions[gather[held]], pairs.positions[held])
+    assert np.all(gather[~held] == len(settled) ** 2)
     # each stage writes what the superoperator's nonzeros reach
     for pattern in (noisy, _settled()):
         at = pattern.positions
@@ -544,7 +555,7 @@ def test_stage_kernel_gives_the_dense_bits_on_random_states(which):
     cooled step on the entries its noise can write; and a later sweep from
     the entries that one writes, as a cooled evolve holds rho.  Against dense
     vertex by vertex: each writes onto the settled pattern."""
-    noisy = _cooled_maps(1.0, 0.1)[-1]
+    noisy = _sweep_maps(_step_maps(_settled().positions.tobytes())[2])
     pattern = noisy if which == "noisy" else _settled()
     rng = np.random.default_rng(5)
     n = len(pattern.positions)

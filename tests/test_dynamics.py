@@ -1,6 +1,7 @@
 """Trotter evolution and noise-channel tests."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,13 @@ def test_herm_expm_semigroup_and_unitarity():
 def test_herm_expm_rejects_non_hermitian():
     with pytest.raises(ValueError):
         herm_expm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+    # an inf or NaN entry: max|h - h^dagger| is inf or NaN then, and NaN fails a > test
+    for value in (np.inf, -np.inf, np.nan):
+        for at in ((0, 0), (0, 1)):
+            h = np.eye(3, dtype=complex)
+            h[at] = h[at[::-1]] = value
+            with pytest.raises(ValueError, match="finite"):
+                herm_expm(h, 0.1)
 
 
 # ---------------------------------------------------------------- trotter
@@ -206,13 +214,27 @@ def test_hygiene_reads_one_sided_entries():
     assert min_eig == pytest.approx(-5e-10, rel=1e-12)
 
 
-@pytest.mark.parametrize("cache", [_trotter_factors, _class_trotter, cli._cooled_maps],
-                         ids=lambda cache: cache.__name__)
-def test_g2_dt_keyed_caches_are_bounded(cache):
+def g2_dt_key(k):
+    return 1.0, 0.01 * (k + 1)
+
+
+def pattern_key(k):
+    """The pattern of one diagonal entry |k><k|, as the held steps key it."""
+    return (np.array([k * (TOTAL_DIM + 1)]).tobytes(),)
+
+
+KEYED_CACHES = [(_trotter_factors, g2_dt_key), (_class_trotter, g2_dt_key),
+                (cli._step_maps, pattern_key), (cli._sweep_maps, pattern_key)]
+
+
+@pytest.mark.parametrize("cache, key", KEYED_CACHES,
+                         ids=[cache.__name__ for cache, _ in KEYED_CACHES])
+def test_g2_dt_keyed_caches_are_bounded(cache, key):
+    """The (g2, dt)-keyed caches and the per-pattern maps of the held steps."""
     bound = cache.cache_info().maxsize
     assert bound is not None
     for k in range(bound + 3):
-        cache(1.0, 0.01 * (k + 1))
+        cache(*key(k))
     assert cache.cache_info().currsize <= bound
 
 
@@ -235,6 +257,13 @@ def test_trotter_unitary_rejects_non_finite_dt_and_bad_g2():
     for g2 in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="g2 must be a finite positive number"):
             trotter_unitary(g2, 0.1)
+    # H_B = -(P + P^dagger)/(2 g2) overflows, or 2 g2 does and H_B is zero, or
+    # H_E overflows: no NaN propagator, and no RuntimeWarning on the way
+    for g2 in (1e-320, 1e-310, 9e307, 1.7e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="g2 = .* is out of range: H_B"):
+                trotter_unitary(g2, 0.1)
     # a negative dt steps backwards: still a unitary
     u = trotter_unitary(1.0, -0.1)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(TOTAL_DIM), atol=1e-12)
@@ -546,9 +575,11 @@ def both_paths(monkeypatch, func, *args):
 
 @pytest.mark.parametrize("name", PACKED_INPUTS)
 def test_packed_kernels_match_the_dense_path(monkeypatch, name):
+    """Off the packed path, the Trotter step runs on the class pairs rho's
+    nonzeros touch: the same blocks, and the same bits."""
     rho = PACKED_INPUTS[name]()
     fast, dense = both_paths(monkeypatch, trotter_step, rho, TrotterConfig(1.3, 0.37, 1))
-    assert np.max(np.abs(fast - dense)) <= 1e-15
+    assert np.array_equal(fast, dense)
     for kind in ("depolarizing", "amplitude_damping"):
         for rate in (0.01, 0.37):
             fast, dense = both_paths(monkeypatch, apply_noise_all_edges, rho, NoiseSpec(kind, rate))
@@ -558,7 +589,7 @@ def test_packed_kernels_match_the_dense_path(monkeypatch, name):
 
 
 class KernelSpy:
-    """Records each ``pack`` result's path and each packed kernel call of dynamics."""
+    """Records each ``pack`` result's path and each kernel call of dynamics."""
 
     def __init__(self, monkeypatch):
         self.packed, self.calls = [], []
@@ -570,7 +601,7 @@ class KernelSpy:
             return packed
 
         monkeypatch.setattr(dynamics, "pack", spy_pack)
-        for name in ("_class_trotter", "_packed_noise"):
+        for name in ("_pair_trotter", "_packed_noise"):
             monkeypatch.setattr(dynamics, name, self.record(name, getattr(dynamics, name)))
         monkeypatch.setattr(ChargeClasses, "blocks", self.record("blocks", ChargeClasses.blocks))
 
@@ -582,6 +613,8 @@ class KernelSpy:
 
 
 def test_one_tiny_off_class_entry_takes_the_dense_path(monkeypatch):
+    """The noise and hygiene read such a rho densely; the Trotter step runs
+    on the class pairs it touches, and its class blocks keep their bits."""
     rho = random_class_diagonal(np.random.default_rng(9), TOTAL_DIM)
     tiny = rho.copy()
     lone = charge_classes().stacks[0][0, 0]
@@ -594,8 +627,9 @@ def test_one_tiny_off_class_entry_takes_the_dense_path(monkeypatch):
     spy.calls.clear()
     tiny_step, tiny_noisy = trotter_step(tiny, cfg), apply_noise_all_edges(tiny, spec)
     tiny_health = hygiene(tiny)
-    assert spy.packed == [False] * 3 and spy.calls == []
+    assert spy.packed == [False] * 3 and spy.calls == ["_pair_trotter"]
     assert np.max(np.abs(tiny_step - step)) <= 1e-15
+    assert np.array_equal(class_blocks_of(tiny_step), step)
     assert np.array_equal(class_blocks_of(tiny_noisy), noisy)
     assert np.max(np.abs(tiny_noisy - noisy)) <= 1e-300
     assert tiny_health[:2] == health[:2]
@@ -603,27 +637,29 @@ def test_one_tiny_off_class_entry_takes_the_dense_path(monkeypatch):
 
 
 def test_uncooled_runs_step_on_the_packed_kernels(monkeypatch, tmp_path):
-    """Every uncooled step is packed; a cooled run steps on its entry
-    patterns from the vacuum on, and calls none of the dense-input steps."""
+    """Every uncooled library step is packed; an `evolve` holds rho as entries
+    from the vacuum on, cooled or not, and calls none of the dense-input
+    steps and no ``pack``."""
+    argv = ["evolve", "--rate", "0.01", "--steps", "3", "--time", "0.3"]
+    # warm: a first _class_trotter call reads the class blocks too
+    uncooled_states("amplitude_damping", steps=3)
+    assert main([*argv, "--out", str(tmp_path / "warm.csv")]) == 0
     spy = KernelSpy(monkeypatch)
     for state in uncooled_states("amplitude_damping", steps=3)[1::2]:
         hygiene(state)
     assert spy.packed == [True] * 9
-    step = ["_class_trotter", "blocks", "blocks", "_packed_noise"]
-    assert spy.calls == step * 3 + ["blocks"] * 3
-    argv = ["evolve", "--rate", "0.01", "--steps", "3", "--time", "0.3"]
-    spy.packed.clear()
-    assert main([*argv, "--cool", "off", "--out", str(tmp_path / "off.csv")]) == 0
-    assert spy.packed == [True, True] * 3
-    spy.packed.clear()
-    spy.calls.clear()
-    for module, name in ((cli, "trotter_step"), (cli, "apply_noise_all_edges"),
-                         (cli, "_packed_noise"), (dynamics, "trotter_step"),
+    assert spy.calls == ["_pair_trotter", "_packed_noise"] * 3 + ["blocks"] * 3
+    for module, name in ((cli, "_pair_trotter"), (cli, "_packed_noise"),
+                         (cli, "trotter_step"), (cli, "apply_noise_all_edges"),
+                         (cli, "iterative_cooling"), (dynamics, "trotter_step"),
                          (dynamics, "apply_noise_all_edges"), (cooling, "_cool_into")):
         monkeypatch.setattr(module, name, spy.record(name, getattr(module, name)))
-    assert main([*argv, "--cool", "on", "--out", str(tmp_path / "on.csv")]) == 0
-    assert spy.packed == []
-    assert spy.calls == ["_packed_noise"] * 3
+    for cool in ("off", "on"):
+        spy.packed.clear()
+        spy.calls.clear()
+        assert main([*argv, "--cool", cool, "--out", str(tmp_path / f"{cool}.csv")]) == 0
+        assert spy.packed == []
+        assert spy.calls == ["_pair_trotter", "_packed_noise"] * 3
 
 
 # ---------------------------------------------------------------- fidelity

@@ -15,6 +15,8 @@ from gaugecool.dynamics import (
     trotter_step,
     trotter_unitary,
     _class_edge_maps,
+    _class_trotter,
+    _diagonal_pairs,
 )
 from gaugecool.hamiltonian import haar_mc_oracle, magnetic_plaquette_matrix
 from gaugecool.lattice import (
@@ -335,8 +337,8 @@ def test_dense_operator_builders_retain_no_dense_array():
     assert pack(noisy) is not None
     held = np.zeros(len(_settled().positions) + 1, dtype=complex)
     # built inside the window, whatever ran before
-    for cache in (charge_classes, _class_edge_maps, _pair_blocks, _state_layout, _settled,
-                  cli._cooled_maps):
+    for cache in (charge_classes, _class_edge_maps, _class_trotter, _diagonal_pairs, _pair_blocks,
+                  _state_layout, _settled, cli._step_maps, cli._sweep_maps):
         cache.cache_clear()
     started = not tracemalloc.is_tracing()
     if started:
@@ -353,8 +355,10 @@ def test_dense_operator_builders_retain_no_dense_array():
             build_cg_basis(v)
         report = iterative_cooling(noisy, max_sweeps=3)[1]
         held[0] = 1.0
-        held, _, cooled = cli._cooled_step(held, TrotterConfig(g2=1.0, total_time=0.37, n_steps=1),
-                                           NoiseSpec("depolarizing", 0.01), 1e-5, 10)
+        pattern, held = cli._noisy_step(_settled().positions.tobytes(), held,
+                                        TrotterConfig(g2=1.0, total_time=0.37, n_steps=1),
+                                        NoiseSpec("depolarizing", 0.01))
+        _, held, cooled = cli._cooled(pattern, held, 1e-5, 10)
         gc.collect()
         unpacked = tracemalloc.get_traced_memory()[0]
         stepped = trotter_step(noisy, TrotterConfig(g2=1.0, total_time=0.37, n_steps=1))
