@@ -15,9 +15,10 @@ Four subcommands:
 entry vector, positions plus values, from the vacuum on; each step runs the
 Trotter kernel on the class pairs the held entries touch, the edge noise on
 the entries it can write, and, with cooling, the sweeps onto the settled
-pattern.  The maps of each pattern are derived once per process and cached
-(at most 8 patterns).  Each step hands a fresh dense rho to the ``fidelity``
-and ``gi_overlap`` reads.
+pattern (``cooling._cooled``).  The maps of each pattern are derived once
+per process and cached (at most 8 patterns a cache).  Each step hands a
+fresh dense rho to the ``fidelity`` and ``gi_overlap`` reads.  ``converge``
+is the first step of a cooled ``evolve``, one row per sweep.
 
 ``kl-audit`` and ``check`` import ``klaudit`` and ``tdesign`` inside their
 functions, so an ``evolve`` or ``converge`` process never loads them.
@@ -37,8 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cooling import CoolingReport, _check_cooling_parameters, gi_overlap, iterative_cooling
-from .cooling import _cool_entries, _entry_overlap, _pattern, _settled
+from .cooling import CoolingReport, _check_cooling_parameters, _cooled, _settled, gi_overlap
 from .dynamics import (
     NoiseSpec,
     TrotterConfig,
@@ -47,9 +47,7 @@ from .dynamics import (
     _packed_edge_maps,
     _packed_noise,
     _pair_trotter,
-    apply_noise_all_edges,
     fidelity,
-    trotter_step,
     trotter_step_state,
 )
 from .hamiltonian import (
@@ -134,13 +132,6 @@ def _step_maps(pattern: bytes):
     return pairs, gather, noisy.tobytes(), place, _packed_edge_maps(noisy)
 
 
-@lru_cache(maxsize=8)
-def _sweep_maps(pattern: bytes):
-    """The ``_Pattern`` of rho held on ``pattern``, whose sweep writes onto the
-    settled pattern."""
-    return _pattern(np.frombuffer(pattern, dtype=int), _settled().positions)
-
-
 def _noisy_step(pattern: bytes, x: np.ndarray, trotter: TrotterConfig, noise: NoiseSpec):
     """A Trotter step and edge noise of rho held as the entry vector x on
     ``pattern``, with the dense steps' bits: the pattern the noise writes,
@@ -151,13 +142,9 @@ def _noisy_step(pattern: bytes, x: np.ndarray, trotter: TrotterConfig, noise: No
     return noisy, np.append(_packed_noise(stepped, edges, noise), 0)
 
 
-def _cooled(pattern: bytes, x: np.ndarray, tol: float, max_sweeps: int):
-    """``iterative_cooling`` of rho held as x on ``pattern``: the pattern it is
-    held on after (the settled one unless no sweep ran), its entry vector and
-    the cooling report."""
-    noisy = _sweep_maps(pattern)
-    x, report = _cool_entries(x, noisy, [_entry_overlap(x, noisy)], tol, max_sweeps)
-    return (_settled().positions.tobytes() if report.sweeps_used else pattern), x, report
+def _vacuum_entries(pattern: bytes) -> np.ndarray:
+    """|0><0| held as an entry vector on ``pattern``, which holds entry 0."""
+    return np.append(np.frombuffer(pattern, dtype=int) == 0, 0).astype(complex)
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
@@ -175,7 +162,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     noise = cfg.noise_spec()
     psi = vacuum_state()
     pattern = (_settled().positions if cfg.cool else np.sort(charge_classes().positions)).tobytes()
-    x = np.append(np.frombuffer(pattern, dtype=int) == 0, 0).astype(complex)  # |0><0|
+    x = _vacuum_entries(pattern)
     rows, reports, sweeps = [], [], 0
     for step in range(1, cfg.n_steps + 1):
         psi = trotter_step_state(psi, trotter)
@@ -199,14 +186,14 @@ def cmd_converge(cfg: RunConfig) -> int:
     """One noisy Trotter step, then cooling sweeps; one row per sweep.
 
     Sweep 0 is the state before any cooling.  The step size is fixed at 0.1,
-    the setting the reference per-sweep overlap table was produced with.
+    the setting the reference per-sweep overlap table was produced with.  rho
+    is held as an entry vector from the vacuum on the settled pattern, as in
+    a cooled `evolve`, and takes that loop's first step.
     """
     trotter = TrotterConfig(g2=cfg.g2, total_time=0.1, n_steps=1)
-    psi = vacuum_state()
-    rho = np.outer(psi, psi.conj())
-    rho = trotter_step(rho, trotter)
-    rho = apply_noise_all_edges(rho, cfg.noise_spec())
-    _, report = iterative_cooling(rho, tol=cfg.tol, max_sweeps=cfg.max_sweeps)
+    pattern = _settled().positions.tobytes()
+    pattern, x = _noisy_step(pattern, _vacuum_entries(pattern), trotter, cfg.noise_spec())
+    _, _, report = _cooled(pattern, x, cfg.tol, cfg.max_sweeps)
     rows = [
         f"{sweep},{_fmt(overlap)},{_fmt(1.0 - overlap)}"
         for sweep, overlap in enumerate(report.overlaps)

@@ -37,17 +37,17 @@ are these pair operators lifted by ``lattice.lift_pair``; the kernels are
 tested against them.
 
 One sweep leaves any rho between 31 basis states, and a sweep writes the
-961 entries between them onto themselves (``_settled``).  ``iterative_cooling``
-therefore refuses a rho with a non-finite entry, runs sweep 0 with the dense
-kernel, cuts those entries out of rho, and runs every later sweep and overlap
-read on them as an entry vector, through flat index maps (``_Pattern``): each
-vertex stage multiplies the superoperator's 25 connected blocks
-(``_pair_blocks``) with entries gathered from the vector, which gives the
-dense kernel's bits.  `evolve` holds rho as an entry vector in one loop,
-cooled or not, and a cooled step sweeps the entries its noise wrote onto
-the same 961 through the same stages: from the settled pattern, or from the
-pattern a step that needed no sweep left rho on, each pattern's maps derived
-once (``_pattern``).
+961 entries between them onto themselves (``_settled``).  Every cooling run
+sweeps rho held as an entry vector, its values on a pattern's entries,
+through flat index maps (``_Pattern``): each vertex stage multiplies the
+superoperator's 25 connected blocks (``_pair_blocks``) with entries gathered
+from the vector, which gives ``cool_vertex``'s bits.  The first sweep runs
+on the pattern rho starts on, each later one on the settled pattern, and
+each pattern's maps are derived once (``_sweep_maps``).  ``_cooled`` runs
+the cooled `evolve` and `converge` steps; ``iterative_cooling`` refuses a
+rho with a non-finite entry, holds it on its nonzero entries, and returns
+the settled entries as a dense rho.  ``cool_vertex`` and ``cooling_sweep``
+stay the dense references.
 """
 
 from __future__ import annotations
@@ -267,26 +267,18 @@ def recovery_kraus(v: int) -> KrausChannel:
     return KrausChannel(vertex=v, labels=tuple(label for label, _ in kraus), operators=ops)
 
 
-def _cool_into(rho: np.ndarray, out: np.ndarray, v: int) -> np.ndarray:
-    """Write the recovery channel at vertex v applied to rho into out.
-
-    out must be a C-contiguous complex 625x625 array; it may be rho itself,
-    because the entries the channel reads are gathered before out is cleared."""
+def cool_vertex(rho: np.ndarray, v: int) -> np.ndarray:
+    """Apply the recovery channel at vertex v: rho -> sum_K K rho K^dagger."""
     blocks = _pair_blocks()
     edges = vertex_edges(v)
     pair_shape = (EDGE_DIM,) * 4  # (out ket, in ket, out bra, in bra)
     source = local_view(rho, edges)[np.unravel_index(blocks.columns, pair_shape)]
     written = blocks.block.any(axis=2)  # a padded row's place may be a real row's
     cooled = (blocks.block @ source.reshape(len(written), -1, EDGE_DIM**4))[written]
-    out[...] = 0
+    out = np.zeros(rho.shape, dtype=complex)
     local_view(out, edges)[np.unravel_index(blocks.rows[written], pair_shape)] = \
         cooled.reshape(-1, *source.shape[2:])
     return out
-
-
-def cool_vertex(rho: np.ndarray, v: int) -> np.ndarray:
-    """Apply the recovery channel at vertex v: rho -> sum_K K rho K^dagger."""
-    return _cool_into(rho, np.empty(rho.shape, dtype=complex), v)
 
 
 def cooling_sweep(rho: np.ndarray) -> np.ndarray:
@@ -490,7 +482,7 @@ def _settled() -> _Pattern:
 
 
 def _cool_stage(x: np.ndarray, stage: _Stage) -> np.ndarray:
-    """``_cool_into`` at stage.vertex on rho held as an entry vector."""
+    """``cool_vertex`` at stage.vertex on rho held as an entry vector."""
     cooled = _pair_blocks().block @ x.take(stage.gather)
     out = np.zeros(stage.size + 1, dtype=complex)
     out.put(stage.target, cooled.take(stage.keep))
@@ -510,6 +502,13 @@ def _entry_overlap(x: np.ndarray, pattern: _Pattern) -> float:
     return sum(weights.real.tolist()) / N_VERTICES
 
 
+@lru_cache(maxsize=8)
+def _sweep_maps(pattern: bytes) -> _Pattern:
+    """The ``_Pattern`` of rho held on ``pattern``, its sorted flat entries as
+    bytes, whose sweep writes onto the settled pattern."""
+    return _pattern(np.frombuffer(pattern, dtype=int), _settled().positions)
+
+
 def _cool_entries(x: np.ndarray, pattern: _Pattern, overlaps: list[float], tol: float,
                   max_sweeps: int) -> tuple[np.ndarray, CoolingReport]:
     """``iterative_cooling`` on rho held on pattern, whose overlaps so far
@@ -523,21 +522,13 @@ def _cool_entries(x: np.ndarray, pattern: _Pattern, overlaps: list[float], tol: 
     return x, CoolingReport(overlaps, len(overlaps) - 1, overlaps[-1] > 1.0 - tol)
 
 
-def _settled_entries(rho: np.ndarray) -> np.ndarray:
-    """Cut a swept C-contiguous rho out onto the settled pattern: its values
-    there, and the trailing zero, as an entry vector; rho is left zero.
-
-    Raises ValueError if rho is not finite, and AssertionError if any weight
-    lies off the settled pattern, where no sweep can leave it."""
-    positions = _settled().positions
-    x = np.append(rho.take(positions), 0)
-    rho.put(positions, 0)
-    off = rho.any()
-    if off and np.isfinite(rho).all():
-        raise AssertionError("a sweep left weight off the settled pattern")
-    if off or not np.isfinite(x).all():
-        raise ValueError("rho has non-finite entries")
-    return x
+def _cooled(pattern: bytes, x: np.ndarray, tol: float, max_sweeps: int):
+    """``iterative_cooling`` of rho held as the entry vector x on ``pattern``:
+    the pattern it is held on after (the settled one unless no sweep ran),
+    its entry vector and the cooling report."""
+    held = _sweep_maps(pattern)
+    x, report = _cool_entries(x, held, [_entry_overlap(x, held)], tol, max_sweeps)
+    return (_settled().positions.tobytes() if report.sweeps_used else pattern), x, report
 
 
 def _check_cooling_parameters(tol: float, max_sweeps: int) -> None:
@@ -552,9 +543,10 @@ def iterative_cooling(
 ) -> tuple[np.ndarray, CoolingReport]:
     """Sweep until the GI overlap exceeds 1 - tol or max_sweeps is reached.
 
-    A rho with a non-finite entry is a ValueError.  Sweep 0 is dense; the
-    later sweeps and every overlap after it run on the settled pattern
-    (``_settled``)."""
+    A rho with a non-finite entry is a ValueError.  The first overlap is the
+    dense ``gi_overlap``; then rho is held on its nonzero entries, and every
+    sweep and later overlap runs on entry vectors (``_cool_entries``), the
+    first sweep through the maps of rho's own pattern (``_sweep_maps``)."""
     _check_cooling_parameters(tol, max_sweeps)
     # the kernels read only some entries, so a NaN elsewhere would be dropped
     if not np.isfinite(rho).all():
@@ -562,13 +554,9 @@ def iterative_cooling(
     overlaps = [gi_overlap(rho)]
     if overlaps[0] > 1.0 - tol:
         return rho, CoolingReport(overlaps, 0, True)
-    # one working copy that sweep 0 cools in place: a fresh 6.25 MB array
-    # per vertex costs a page fault per 4 kB page it touches
-    rho = np.array(rho, dtype=complex, order="C")
-    for v in range(N_VERTICES):
-        _cool_into(rho, rho, v)
-    x = _settled_entries(rho)
-    overlaps.append(_entry_overlap(x, _settled()))
-    x, report = _cool_entries(x, _settled(), overlaps, tol, max_sweeps)
-    rho.put(_settled().positions, x[:-1])
-    return rho, report
+    positions = np.flatnonzero(rho)
+    x = np.append(rho.take(positions), 0).astype(complex)
+    x, report = _cool_entries(x, _sweep_maps(positions.tobytes()), overlaps, tol, max_sweeps)
+    out = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
+    out.put(_settled().positions, x[:-1])
+    return out, report

@@ -12,7 +12,7 @@ import pytest
 
 from gaugecool import cli, cooling
 from gaugecool.cli import RunConfig, build_parser, main
-from gaugecool.cooling import cooling_sweep, iterative_cooling
+from gaugecool.cooling import cooling_sweep, gi_overlap, iterative_cooling
 from gaugecool.dynamics import (
     NoiseSpec,
     TrotterConfig,
@@ -387,7 +387,7 @@ def cooled_evolve(monkeypatch, tmp_path, argv):
 
     monkeypatch.setattr(cli, "gi_overlap", keep_state)
     monkeypatch.setattr(cli, "_cooled", keep_report)
-    monkeypatch.setattr(cli, "iterative_cooling", refuse)
+    monkeypatch.setattr(cooling, "iterative_cooling", refuse)
     assert main([*argv, "--cool", "on", "--out", str(tmp_path / "cooled.csv")]) == 0
     return states, reports
 
@@ -426,6 +426,25 @@ def dense_step(rho, trotter, noise):
 
 
 @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
+@pytest.mark.parametrize("rate", [0.005, 0.2])
+def test_converge_follows_the_dense_chain(tmp_path, kind, rate):
+    """`converge` prints the rows of the dense chain: trotter_step, then
+    apply_noise_all_edges, then cooling_sweep calls, each read by gi_overlap,
+    under the same stop rule, so the sweeps used agree too."""
+    argv = ["converge", "--noise", kind.replace("_", "-"), "--rate", str(rate)]
+    _, _, rows = run_csv(tmp_path, "conv.csv", argv)
+    vac = vacuum_state()
+    rho = dense_step(np.outer(vac, vac.conj()), TrotterConfig(g2=1.0, total_time=0.1, n_steps=1),
+                     NoiseSpec(kind, rate))
+    overlaps = [gi_overlap(rho)]
+    while overlaps[-1] <= 1.0 - 1e-5 and len(overlaps) <= 10:
+        rho = cooling_sweep(rho)
+        overlaps.append(gi_overlap(rho))
+    assert len(rows) == len(overlaps) > 1
+    assert rows == [[str(k), f"{x:.12g}", f"{1.0 - x:.12g}"] for k, x in enumerate(overlaps)]
+
+
+@pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
 def test_cooled_step_matches_the_dense_steps_on_random_states(kind):
     """Random states, put on the settled pattern by a sweep, a noisy step and
     a sweep: not only the trajectory's."""
@@ -439,7 +458,7 @@ def test_cooled_step_matches_the_dense_steps_on_random_states(kind):
         x = np.append(rho.take(positions), 0)
         assert not np.delete(rho.ravel(), positions).any()
         pattern, x = cli._noisy_step(positions.tobytes(), x, trotter, noise)
-        pattern, out, report = cli._cooled(pattern, x, 1e-15, 3)
+        pattern, out, report = cooling._cooled(pattern, x, 1e-15, 3)
         want, dense_report = iterative_cooling(dense_step(rho, trotter, noise), tol=1e-15,
                                                max_sweeps=3)
         got = np.zeros(TOTAL_DIM**2, dtype=complex)
@@ -481,7 +500,7 @@ def test_a_warm_cooled_step_allocates_less_than_one_dense_array():
 
         def step():
             noisy, y = cli._noisy_step(pattern, x, trotter, noise)
-            return cli._cooled(noisy, y, 1e-5, 10) if cool else (noisy, y, None)
+            return cooling._cooled(noisy, y, 1e-5, 10) if cool else (noisy, y, None)
 
         for _ in range(4):  # warm, and on the pattern the run keeps
             pattern, x, report = step()
@@ -496,7 +515,7 @@ def test_a_cooled_run_without_sweeps_settles_on_four_patterns(monkeypatch, tmp_p
     through the patterns the steps write, and the Trotter step's class pairs
     and the noise close on 18,517 entries after three steps: at most four
     patterns are derived, whatever the run's length."""
-    for cache in (cli._step_maps, cli._sweep_maps):
+    for cache in (cli._step_maps, cooling._sweep_maps):
         cache.cache_clear()
     argv = ["evolve", "--cool", "on", "--rate", "0", "--steps", "8", "--time", "0.8"]
     sizes = []
@@ -505,18 +524,19 @@ def test_a_cooled_run_without_sweeps_settles_on_four_patterns(monkeypatch, tmp_p
     assert main([*argv, "--out", str(tmp_path / "cooled.csv")]) == 0
     assert sizes == [961, 9593, 18325] + [18517] * 5
     assert cli._step_maps.cache_info().currsize == 4
-    assert cli._sweep_maps.cache_info().currsize == 3
+    assert cooling._sweep_maps.cache_info().currsize == 3
 
 
 def test_a_cold_cooled_evolve_derives_only_its_own_patterns(monkeypatch, tmp_path):
     """From cleared caches, a cooled evolve derives its maps in two passes of
     four stages, over the settled pattern and over its noisy pattern, and
-    what it keeps is less than one dense array; iterative_cooling and
-    converge then sweep on the same settled pattern and derive nothing."""
+    what it keeps is less than one dense array.  iterative_cooling then
+    derives the one pattern of the dense chain's nonzeros, and `converge`,
+    whose step is the evolve's first, derives none."""
     stages = []
     stage = cooling._stage
     monkeypatch.setattr(cooling, "_stage", lambda *a, **kw: stages.append(a[1]) or stage(*a, **kw))
-    for cache in (cli._step_maps, cli._sweep_maps, cooling._settled, cooling._state_layout):
+    for cache in (cli._step_maps, cooling._sweep_maps, cooling._settled, cooling._state_layout):
         cache.cache_clear()
     argv = ["evolve", "--cool", "on", "--rate", "0.01", "--steps", "2", "--time", "0.2"]
     started = not tracemalloc.is_tracing()
@@ -533,7 +553,10 @@ def test_a_cold_cooled_evolve_derives_only_its_own_patterns(monkeypatch, tmp_pat
             tracemalloc.stop()
     assert stages == [0, 1, 2, 3] * 2
     assert after - before < TOTAL_DIM**2 * np.dtype(complex).itemsize
+    stages.clear()
     _, report = dense_cooled_chain("depolarizing", 0.01, 1)[0]
     assert report.sweeps_used == 10
+    assert stages == [0, 1, 2, 3]
+    stages.clear()
     assert main(["converge", "--rate", "0.01", "--out", str(tmp_path / "converge.csv")]) == 0
-    assert stages == [0, 1, 2, 3] * 2
+    assert stages == []

@@ -224,7 +224,7 @@ def pattern_key(k):
 
 
 KEYED_CACHES = [(_trotter_factors, g2_dt_key), (_class_trotter, g2_dt_key),
-                (cli._step_maps, pattern_key), (cli._sweep_maps, pattern_key)]
+                (cli._step_maps, pattern_key), (cooling._sweep_maps, pattern_key)]
 
 
 @pytest.mark.parametrize("cache, key", KEYED_CACHES,
@@ -638,8 +638,8 @@ def test_one_tiny_off_class_entry_takes_the_dense_path(monkeypatch):
 
 def test_uncooled_runs_step_on_the_packed_kernels(monkeypatch, tmp_path):
     """Every uncooled library step is packed; an `evolve` holds rho as entries
-    from the vacuum on, cooled or not, and calls none of the dense-input
-    steps and no ``pack``."""
+    from the vacuum on, cooled or not, and so does `converge`: they call
+    none of the dense-input steps, no dense recovery and no ``pack``."""
     argv = ["evolve", "--rate", "0.01", "--steps", "3", "--time", "0.3"]
     # warm: a first _class_trotter call reads the class blocks too
     uncooled_states("amplitude_damping", steps=3)
@@ -650,9 +650,8 @@ def test_uncooled_runs_step_on_the_packed_kernels(monkeypatch, tmp_path):
     assert spy.packed == [True] * 9
     assert spy.calls == ["_pair_trotter", "_packed_noise"] * 3 + ["blocks"] * 3
     for module, name in ((cli, "_pair_trotter"), (cli, "_packed_noise"),
-                         (cli, "trotter_step"), (cli, "apply_noise_all_edges"),
-                         (cli, "iterative_cooling"), (dynamics, "trotter_step"),
-                         (dynamics, "apply_noise_all_edges"), (cooling, "_cool_into")):
+                         (dynamics, "trotter_step"), (dynamics, "apply_noise_all_edges"),
+                         (cooling, "iterative_cooling"), (cooling, "cool_vertex")):
         monkeypatch.setattr(module, name, spy.record(name, getattr(module, name)))
     for cool in ("off", "on"):
         spy.packed.clear()
@@ -660,6 +659,12 @@ def test_uncooled_runs_step_on_the_packed_kernels(monkeypatch, tmp_path):
         assert main([*argv, "--cool", cool, "--out", str(tmp_path / f"{cool}.csv")]) == 0
         assert spy.packed == []
         assert spy.calls == ["_pair_trotter", "_packed_noise"] * 3
+    monkeypatch.setattr(cooling, "_cool_stage", spy.record("_cool_stage", cooling._cool_stage))
+    spy.calls.clear()
+    assert main(["converge", "--rate", "0.01", "--out", str(tmp_path / "converge.csv")]) == 0
+    sweeps = len((tmp_path / "converge.csv").read_text().splitlines()) - 2
+    assert spy.packed == [] and sweeps == 10
+    assert spy.calls == ["_pair_trotter", "_packed_noise"] + ["_cool_stage"] * 4 * sweeps
 
 
 # ---------------------------------------------------------------- fidelity

@@ -45,10 +45,12 @@ from gaugecool.lattice import (
 )
 from gaugecool import cli
 from gaugecool.cooling import (
+    _cooled,
     _pair_blocks,
     _pair_superoperator,
     _settled,
     _state_layout,
+    _sweep_maps,
     cool_vertex,
     iterative_cooling,
     recovery_kraus,
@@ -338,7 +340,7 @@ def test_dense_operator_builders_retain_no_dense_array():
     held = np.zeros(len(_settled().positions) + 1, dtype=complex)
     # built inside the window, whatever ran before
     for cache in (charge_classes, _class_edge_maps, _class_trotter, _diagonal_pairs, _pair_blocks,
-                  _state_layout, _settled, cli._step_maps, cli._sweep_maps):
+                  _state_layout, _settled, cli._step_maps, _sweep_maps):
         cache.cache_clear()
     started = not tracemalloc.is_tracing()
     if started:
@@ -358,7 +360,7 @@ def test_dense_operator_builders_retain_no_dense_array():
         pattern, held = cli._noisy_step(_settled().positions.tobytes(), held,
                                         TrotterConfig(g2=1.0, total_time=0.37, n_steps=1),
                                         NoiseSpec("depolarizing", 0.01))
-        _, held, cooled = cli._cooled(pattern, held, 1e-5, 10)
+        _, held, cooled = _cooled(pattern, held, 1e-5, 10)
         gc.collect()
         unpacked = tracemalloc.get_traced_memory()[0]
         stepped = trotter_step(noisy, TrotterConfig(g2=1.0, total_time=0.37, n_steps=1))
