@@ -61,14 +61,13 @@ import numpy as np
 
 from .lattice import (
     EDGE_DIM,
-    N_EDGES,
     N_VERTICES,
     TOTAL_DIM,
     _components,
+    _state_layout,
     lift_pair,
     local_view,
     pair_cg_basis,
-    pair_edges,
     vertex_edges,
 )
 from .su2 import _check_count, _check_positive, _twice
@@ -365,20 +364,6 @@ def _pair_blocks() -> _PairBlocks:
     for a in blocks:
         a.setflags(write=False)
     return blocks
-
-
-@lru_cache(maxsize=1)
-def _state_layout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(at, pair, spectator): at[v, p, s] is the state with pair index p and
-    spectator index s at v (``lattice.pair_edges`` order); pair[v, state]
-    and spectator[v, state] are that state's p and s."""
-    grid = np.arange(TOTAL_DIM).reshape((EDGE_DIM,) * N_EDGES)
-    at = np.stack([grid.transpose(pair_edges(v)).reshape(EDGE_DIM**2, -1)
-                   for v in range(N_VERTICES)])
-    pair, spectator = np.divmod(np.argsort(at.reshape(N_VERTICES, -1), axis=1), EDGE_DIM**2)
-    for a in (at, pair, spectator):
-        a.setflags(write=False)
-    return at, pair, spectator
 
 
 def _pair_coordinates(positions: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:

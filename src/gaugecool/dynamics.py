@@ -6,11 +6,10 @@ block on them comes from the plaquette's 256 nonzeros, with no dense H_B.  Its
 nonzero graph splits them into 41 connected blocks of at most 17 states, so
 ``herm_expm`` runs on each block and exp(-i H_B dt) is exactly 1 on the other
 464 states; the electric factor is diagonal.  U is block diagonal with 1,345
-nonzeros; the steps keep only its factors (``_trotter_factors``).  The state
-step multiplies the 161 moved entries of psi by U's dense moved block and the
-other 464 by their electric phase.  ``trotter_unitary`` assembles the dense U
-from the same factors, as a reference.  A g2 whose H_B = -(P + P^dagger)/(2 g2)
-or H_E does not fit a float is a ValueError.
+nonzeros, exactly zero between the charge classes below, and it is kept only
+as its class blocks (``_class_trotter``): psi and rho both step on them, and
+``trotter_unitary`` unpacks them into the dense U, as a reference.  A g2 whose
+H_B = -(P + P^dagger)/(2 g2) or H_E does not fit a float is a ValueError.
 
 ``hygiene`` takes the minimum eigenvalue block by block as well: the spectrum
 of a matrix is the union of the spectra of its nonzero graph's connected
@@ -130,15 +129,15 @@ def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _trotter_factors(g2: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(moved, block, phases) of U at coupling g2.
-
-    ``moved`` lists the states H_B moves, ``block`` is U on them (dense,
-    161x161) and ``phases`` is exp(-i H_E dt), U's diagonal on every other
-    state.  H_B's block is built on the states the plaquette's entries touch,
-    in ``magnetic_hamiltonian``'s complex arithmetic: the same bits and zero
-    signs.  exp(-i H_B dt) is exponentiated on each connected block of H_B's
-    nonzero graph, one stack per block size, and is exact zero between blocks."""
+def _class_trotter(g2: float, dt: float) -> tuple[np.ndarray, ...]:
+    """U at coupling g2 on each ``charge_classes`` block, one (count, size,
+    size) stack per class size.  H_B's block is built on the states the
+    plaquette's entries touch, in ``magnetic_hamiltonian``'s complex
+    arithmetic: the same bits and zero signs.  exp(-i H_B dt) is exponentiated
+    on each connected block of H_B's nonzero graph, one stack per block size;
+    times the phase exp(-i H_E dt), which alone is U on every other state, it
+    is gathered into the class blocks.  H_B commutes with every G_z^v, so U is
+    exactly zero between classes."""
     _check_positive(g2, "g2")
     if not np.isfinite(dt):
         raise ValueError("dt must be a finite number")
@@ -160,27 +159,6 @@ def _trotter_factors(g2: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.n
         block[ix] = herm_expm(hb[ix], dt)
     phases = np.exp(-1j * dt * energies)
     block *= phases[moved, None]
-    for a in (moved, block, phases):
-        a.setflags(write=False)
-    return moved, block, phases
-
-
-def trotter_unitary(g2: float, dt: float) -> np.ndarray:
-    """U = exp(-i H_E dt) exp(-i H_B dt) at coupling g2 as a dense 625x625
-    reference: the moved block of ``_trotter_factors`` and the electric phase
-    on the diagonal elsewhere."""
-    moved, block, phases = _trotter_factors(g2, dt)
-    u = np.diag(phases)
-    u[np.ix_(moved, moved)] = block
-    return u
-
-
-@lru_cache(maxsize=4)
-def _class_trotter(g2: float, dt: float) -> tuple[np.ndarray, ...]:
-    """U on each ``charge_classes`` block, one (count, size, size) stack per
-    class size, gathered entry by entry from ``_trotter_factors``.  H_B
-    commutes with every G_z^v, so U is exactly zero between classes."""
-    moved, block, phases = _trotter_factors(g2, dt)
     at = np.full(TOTAL_DIM, -1)
     at[moved] = np.arange(len(moved))
     classes = charge_classes()
@@ -189,6 +167,12 @@ def _class_trotter(g2: float, dt: float) -> tuple[np.ndarray, ...]:
     u = np.where((a >= 0) & (b >= 0), block[a, b], np.where(ket == bra, phases[ket], 0))
     u.setflags(write=False)
     return tuple(classes.blocks(u))
+
+
+def trotter_unitary(g2: float, dt: float) -> np.ndarray:
+    """U = exp(-i H_E dt) exp(-i H_B dt) at coupling g2 as a dense 625x625
+    reference: the class blocks of ``_class_trotter``, zero between classes."""
+    return unpack(np.concatenate([u.ravel() for u in _class_trotter(g2, dt)]))
 
 
 class _ClassPairs(NamedTuple):
@@ -270,10 +254,11 @@ def trotter_step(rho: np.ndarray, cfg: TrotterConfig) -> np.ndarray:
 
 def trotter_step_state(psi: np.ndarray, cfg: TrotterConfig) -> np.ndarray:
     """One noiseless Trotter step of a pure state (the ideal reference): U @ psi,
-    with U on the first axis, so a (625, k) stack steps column by column."""
-    moved, block, phases = _trotter_factors(cfg.g2, cfg.dt)
-    out = psi * phases.reshape(phases.shape + (1,) * (psi.ndim - 1))
-    out[moved] = block @ psi[moved]
+    with U on the first axis, so a (625, k) stack steps column by column: as
+    U_c psi_c on each charge class, one batched product per class size."""
+    out = np.empty(psi.shape, dtype=np.result_type(psi, complex))
+    for idx, u in zip(charge_classes().stacks, _class_trotter(cfg.g2, cfg.dt)):
+        out[idx] = (u @ psi[idx].reshape(*idx.shape, -1)).reshape(idx.shape + psi.shape[1:])
     return out
 
 
@@ -411,8 +396,12 @@ def apply_noise_all_edges(rho: np.ndarray, spec: NoiseSpec) -> np.ndarray:
 
 
 def fidelity(rho: np.ndarray, psi_ref: np.ndarray) -> float:
-    """Overlap <psi|rho|psi> of a density matrix with a pure reference."""
-    return float(np.real(psi_ref.conj() @ rho @ psi_ref))
+    """Overlap <psi|rho|psi> of a density matrix with a pure reference.  Only
+    rho's block on supp psi x supp psi is read: an entry outside it never
+    enters, finite or not."""
+    support = np.flatnonzero(psi_ref)
+    psi = psi_ref[support]
+    return float(np.real(psi.conj() @ rho[np.ix_(support, support)] @ psi))
 
 
 def hygiene(rho: np.ndarray) -> tuple[float, float, float]:

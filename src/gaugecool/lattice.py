@@ -21,7 +21,8 @@ the incoming edge, giving gauge generators
 
 and the unitary gauge action U(g) = conj(pi_j(g)) on m(e_out) times
 pi_j(g) on n(e_in).  Vertex operators are written once on a vertex's two
-edges (25 dimensions) and ``lift_pair`` makes them dense 625-dim operators.
+edges (25 dimensions); ``lift_pair`` scatters them into dense 625-dim
+operators through ``_state_layout``, the one (pair, spectator) -> state map.
 The vertex Clebsch-Gordan basis on those two edges is a closed-form table
 of exact irreducible chains, one entry per pair of edge spins.
 ``local_view`` owns the density-matrix layout (kets e0..e3, then bras), and
@@ -270,15 +271,33 @@ def pair_edges(v: int) -> tuple[int, int, int, int]:
     return (e_out, e_in, *rest)
 
 
+@lru_cache(maxsize=1)
+def _state_layout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(at, pair, spectator): at[v, p, s] is the state with pair index p and
+    spectator index s at v (``pair_edges`` order); pair[v, state] and
+    spectator[v, state] are that state's p and s."""
+    grid = np.arange(TOTAL_DIM).reshape((EDGE_DIM,) * N_EDGES)
+    at = np.stack([grid.transpose(pair_edges(v)).reshape(EDGE_DIM**2, -1)
+                   for v in range(N_VERTICES)])
+    pair, spectator = np.divmod(np.argsort(at.reshape(N_VERTICES, -1), axis=1), EDGE_DIM**2)
+    for a in (at, pair, spectator):
+        a.setflags(write=False)
+    return at, pair, spectator
+
+
 def lift_pair(op: np.ndarray, v: int) -> np.ndarray:
     """The 625x625 operator that is the 25x25 ``op`` on the pair index
-    5 * i_out + i_in of v's (outgoing, incoming) edges, identity on the rest."""
+    5 * i_out + i_in of v's (outgoing, incoming) edges, identity on the rest:
+    each nonzero of op scattered onto its 25 spectator copies."""
     op = np.asarray(op)
     if op.shape != (EDGE_DIM**2, EDGE_DIM**2):
         raise ValueError(f"pair operator must be {EDGE_DIM**2}x{EDGE_DIM**2}")
-    order = np.argsort(pair_edges(v))
-    full = np.kron(op, np.eye(EDGE_DIM**2)).reshape((EDGE_DIM,) * (2 * N_EDGES))
-    return full.transpose(*order, *(N_EDGES + order)).reshape(TOTAL_DIM, TOTAL_DIM)
+    _check_integer_in(v, range(N_VERTICES), "vertex index out of range")  # at[-1] would wrap
+    at = _state_layout()[0][v]
+    rows, cols = np.nonzero(op)
+    out = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=np.result_type(op, float))
+    out[at[rows], at[cols]] = op[rows, cols, None]
+    return out
 
 
 @lru_cache(maxsize=1)
@@ -441,17 +460,16 @@ def build_cg_basis(v: int) -> VertexCGBasis:
     column on the vertex's two edges times a spectator product state.
     """
     pair = pair_cg_basis()
-    # layout[c, r]: the column of lift_pair(pair.basis, v) that is pair column c
-    # times spectator product state r
-    layout = np.arange(TOTAL_DIM).reshape((EDGE_DIM,) * N_EDGES).transpose(pair_edges(v))
-    layout = layout.reshape(EDGE_DIM**2, EDGE_DIM**2)
+    lifted = lift_pair(pair.basis, v)  # checks v first: at[-1] below would wrap
+    # at[c, r]: the column of lifted that is pair column c times spectator product state r
+    at = _state_layout()[0][v]
     chains = [list(c) for _, c in groupby(pair.entries, key=lambda e: (e.twice_J, e.alpha))]
     order = [(e, r) for chain in chains for r in range(EDGE_DIM**2) for e in chain]
     entries = [
         CGEntry(e.twice_J, e.twice_M, (*e.alpha, *divmod(r, EDGE_DIM)), col)
         for col, (e, r) in enumerate(order)
     ]
-    basis = lift_pair(pair.basis, v)[:, [layout[e.column, r] for e, r in order]]
+    basis = lifted[:, [at[e.column, r] for e, r in order]]
     return VertexCGBasis(entries, basis)
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaugecool import cli, cooling
+from gaugecool import cli, cooling, lattice
 from gaugecool.cli import RunConfig, build_parser, main
 from gaugecool.cooling import cooling_sweep, gi_overlap, iterative_cooling
 from gaugecool.dynamics import (
@@ -217,6 +218,87 @@ def test_set_up_and_a_cooled_step_load_no_numpy_ma():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_THREAD_PROBE = """
+import json, os, threading, time
+import numpy as np
+from gaugecool import cli, cooling, dynamics, lattice
+
+
+def others():
+    \"\"\"(voluntary switches, nonvoluntary switches, utime + stime) of every
+    thread of this process but this one.\"\"\"
+    me, counts = str(threading.get_native_id()), {}
+    for tid in os.listdir("/proc/self/task"):
+        if tid != me:
+            with open(f"/proc/self/task/{tid}/status") as fh:
+                status = dict(line.split(":", 1) for line in fh)
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                ticks = fh.read().rsplit(")", 1)[1].split()[11:13]
+            counts[tid] = (int(status["voluntary_ctxt_switches"]),
+                           int(status["nonvoluntary_ctxt_switches"]), sum(map(int, ticks)))
+    return counts
+
+
+def settled():
+    \"\"\"The counts once three reads 100 ms apart agree: OpenBLAS's worker
+    spins for a while after numpy's import, then sleeps.\"\"\"
+    reads = [others()]
+    for _ in range(100):
+        time.sleep(0.1)
+        reads.append(others())
+        if reads[-3:] == [reads[-1]] * 3:
+            return reads[-1]
+    raise SystemExit(f"the other threads never settled: {reads[-3:]}")
+
+
+def audit_step():
+    cfg = dynamics.TrotterConfig(1.0, 0.1, 1)
+    psi = dynamics.trotter_step_state(lattice.vacuum_state(), cfg)
+    rho = np.zeros((lattice.TOTAL_DIM,) * 2, dtype=complex)
+    rho[0, 0] = 1.0
+    rho = dynamics.apply_noise_all_edges(dynamics.trotter_step(rho, cfg),
+                                         dynamics.NoiseSpec("amplitude_damping", 0.01))
+    for v in range(4):
+        cooling.syndrome_probabilities(rho, v)
+    cooling.gi_overlap(rho), dynamics.fidelity(rho, psi), dynamics.hygiene(rho)
+
+
+runs = {
+    "cooled": lambda: cli.main(["evolve", "--cool", "on", "--rate", "0.01", "--out", os.devnull]),
+    "damped": lambda: cli.main(["evolve", "--noise", "amplitude-damping", "--rate", "0.01",
+                                "--out", os.devnull]),
+    "audit": audit_step,
+    "control": lambda: np.ones((625, 625)) @ np.ones((625, 625)),  # a product BLAS threads
+}
+grown = {}
+for name, run in runs.items():
+    before = settled()
+    run()
+    after = settled()  # a woken worker is counted when it has gone back to sleep
+    grown[name] = [sum(after[t][k] - before[t][k] for t in before) for k in range(3)]
+print(json.dumps(grown))
+"""
+
+
+def test_no_step_wakes_a_blas_thread():
+    """No step calls BLAS on a product large enough for OpenBLAS to thread:
+    at two OpenBLAS threads, with its worker asleep before each run, no other
+    thread runs during a 30-step cooled `evolve`, a 30-step uncooled damped
+    one, or one library step that reads every observable.  A 625x625 product then wakes
+    the worker, which shows that the counts see it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE],
+        capture_output=True,
+        text=True,
+        env={**CHILD_ENV, "OPENBLAS_NUM_THREADS": "2"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    grown = json.loads(proc.stdout)
+    if not any(grown.pop("control")):
+        pytest.skip("no BLAS worker thread runs a 625x625 product here")
+    assert grown == {name: [0, 0, 0] for name in ("cooled", "damped", "audit")}
 
 
 def test_kl_audit_tables(tmp_path):
@@ -536,7 +618,7 @@ def test_a_cold_cooled_evolve_derives_only_its_own_patterns(monkeypatch, tmp_pat
     stages = []
     stage = cooling._stage
     monkeypatch.setattr(cooling, "_stage", lambda *a, **kw: stages.append(a[1]) or stage(*a, **kw))
-    for cache in (cli._step_maps, cooling._sweep_maps, cooling._settled, cooling._state_layout):
+    for cache in (cli._step_maps, cooling._sweep_maps, cooling._settled, lattice._state_layout):
         cache.cache_clear()
     argv = ["evolve", "--cool", "on", "--rate", "0.01", "--steps", "2", "--time", "0.2"]
     started = not tracemalloc.is_tracing()

@@ -27,7 +27,6 @@ from gaugecool.dynamics import (
     _class_trotter,
     _components,
     _damping_kraus,
-    _trotter_factors,
 )
 from gaugecool.hamiltonian import _plaquette_entries, electric_hamiltonian, magnetic_hamiltonian
 from gaugecool.lattice import (
@@ -223,8 +222,8 @@ def pattern_key(k):
     return (np.array([k * (TOTAL_DIM + 1)]).tobytes(),)
 
 
-KEYED_CACHES = [(_trotter_factors, g2_dt_key), (_class_trotter, g2_dt_key),
-                (cli._step_maps, pattern_key), (cooling._sweep_maps, pattern_key)]
+KEYED_CACHES = [(_class_trotter, g2_dt_key), (cli._step_maps, pattern_key),
+                (cooling._sweep_maps, pattern_key)]
 
 
 @pytest.mark.parametrize("cache, key", KEYED_CACHES,
@@ -270,9 +269,9 @@ def test_trotter_unitary_rejects_non_finite_dt_and_bad_g2():
 
 
 def test_a_cold_trotter_factors_peaks_below_one_dense_array():
-    """From cleared caches, building the factors allocates less than one
+    """From cleared caches, building U's class blocks allocates less than one
     625x625 complex array at any time."""
-    for cache in (_trotter_factors, _plaquette_entries):
+    for cache in (_class_trotter, _plaquette_entries, charge_classes):
         cache.cache_clear()
     started = not tracemalloc.is_tracing()
     if started:
@@ -280,7 +279,7 @@ def test_a_cold_trotter_factors_peaks_below_one_dense_array():
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        _trotter_factors(1.0, 0.1)
+        _class_trotter(1.0, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         if started:
@@ -682,3 +681,27 @@ def test_fidelity_examples():
     phi -= (psi.conj() @ phi) * psi
     phi /= np.linalg.norm(phi)
     assert abs(fidelity(rho, phi)) < 1e-12
+
+
+def test_fidelity_reads_rho_on_the_support_of_psi_only():
+    """The read on supp psi x supp psi is the dense psi^dagger rho psi to 1e-15,
+    for a psi on every state and for one on the vacuum's charge class; an
+    entry outside that block never enters, and a NaN inside it does."""
+    rng = np.random.default_rng(15)
+    rho = random_density(rng)
+    stack = next(idx for idx in charge_classes().stacks if 0 in idx)
+    vacuum_class = stack[(stack == 0).any(axis=1)][0]
+    full = rng.normal(size=TOTAL_DIM) + 1j * rng.normal(size=TOTAL_DIM)
+    on_class = np.zeros(TOTAL_DIM, dtype=complex)
+    on_class[vacuum_class] = rng.normal(size=len(vacuum_class)) + 1j
+    for psi in (full / np.linalg.norm(full), on_class / np.linalg.norm(on_class)):
+        assert abs(fidelity(rho, psi) - np.real(psi.conj() @ rho @ psi)) <= 1e-15
+    outside = np.ones((TOTAL_DIM, TOTAL_DIM), dtype=bool)
+    outside[np.ix_(vacuum_class, vacuum_class)] = False
+    for bad in (np.nan, np.inf):
+        off = rho.copy()
+        off[outside] = bad
+        assert fidelity(off, on_class) == fidelity(rho, on_class)
+    inside = rho.copy()
+    inside[vacuum_class[0], vacuum_class[-1]] = np.nan
+    assert np.isnan(fidelity(inside, on_class))

@@ -22,6 +22,7 @@ from gaugecool.hamiltonian import haar_mc_oracle, magnetic_plaquette_matrix
 from gaugecool.lattice import (
     EDGE_ENDPOINTS,
     _pair_generators,
+    _state_layout,
     TOTAL_DIM,
     build_cg_basis,
     charge_classes,
@@ -49,7 +50,6 @@ from gaugecool.cooling import (
     _pair_blocks,
     _pair_superoperator,
     _settled,
-    _state_layout,
     _sweep_maps,
     cool_vertex,
     iterative_cooling,
@@ -213,6 +213,31 @@ def test_lift_pair_matches_kron_embedding():
             assert np.max(np.abs(lift_pair(np.kron(a, b), v) - expected)) <= 1e-15
     with pytest.raises(ValueError):
         lift_pair(np.eye(5), 0)
+
+
+def test_a_warm_lift_allocates_one_dense_array():
+    """lift_pair scatters the pair operator's nonzeros into the one 625x625
+    array it returns: a warm call allocates little beyond it."""
+    rng = np.random.default_rng(5)
+    op = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
+    calls = [lambda v: lift_pair(op, v), singlet_projector]
+    for call in calls:
+        call(0)  # warm
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        peaks = []
+        for call in calls:
+            for v in range(4):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                call(v)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert max(peaks) < 1.1 * TOTAL_DIM**2 * np.dtype(complex).itemsize
 
 
 _VACUUM_RHO = np.outer(vacuum_state(), vacuum_state())
