@@ -11,14 +11,12 @@ Four subcommands:
 * ``check``    -- invariant suites with a pass/fail report per line;
   exit 0 iff everything passes.
 
-``evolve`` runs one loop for both ``--cool`` settings.  rho is held as an
-entry vector, positions plus values, from the vacuum on; each step runs the
-Trotter kernel on the class pairs the held entries touch, the edge noise on
-the entries it can write, and, with cooling, the sweeps onto the settled
-pattern (``cooling._cooled``).  The maps of each pattern are derived once
-per process and cached (at most 8 patterns a cache).  Each step hands a
-fresh dense rho to the ``fidelity`` and ``gi_overlap`` reads.  ``converge``
-is the first step of a cooled ``evolve``, one row per sweep.
+``evolve`` runs one loop for both ``--cool`` settings over rho held as
+entries from the vacuum on (``cooling.Held``): each step is ``Held.step``
+and, with cooling, ``Held.cool``, and hands a fresh dense rho
+(``Held.dense``) to the ``fidelity`` and ``gi_overlap`` reads.  ``converge``
+is the first step of a cooled ``evolve``, one row per sweep.  This module
+keeps the flags and the I/O; the numerics live in the library.
 
 ``kl-audit`` and ``check`` import ``klaudit`` and ``tdesign`` inside their
 functions, so an ``evolve`` or ``converge`` process never loads them.
@@ -34,29 +32,18 @@ import argparse
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .cooling import CoolingReport, _check_cooling_parameters, _cooled, _settled, gi_overlap
-from .dynamics import (
-    NoiseSpec,
-    TrotterConfig,
-    _class_pairs,
-    _noise_closure,
-    _packed_edge_maps,
-    _packed_noise,
-    _pair_trotter,
-    fidelity,
-    trotter_step_state,
-)
+from .cooling import CoolingReport, Held, check_cooling_parameters, gi_overlap
+from .dynamics import NoiseSpec, TrotterConfig, fidelity, trotter_step_state
 from .hamiltonian import (
     electric_hamiltonian,
     haar_mc_oracle,
     magnetic_hamiltonian,
     magnetic_plaquette_matrix,
 )
-from .lattice import TOTAL_DIM, charge_classes, gauge_casimir, vacuum_state
+from .lattice import gauge_casimir, vacuum_state
 
 __all__ = ["RunConfig", "main", "build_parser"]
 
@@ -80,7 +67,7 @@ class RunConfig:
     def __post_init__(self):
         if self.noise not in _NOISE_FLAGS:
             raise ValueError(f"noise must be one of {sorted(_NOISE_FLAGS)}")
-        _check_cooling_parameters(self.tol, self.max_sweeps)
+        check_cooling_parameters(self.tol, self.max_sweeps)
 
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(_NOISE_FLAGS[self.noise], self.rate)
@@ -116,63 +103,26 @@ def _warn_unconverged(reports: list[CoolingReport], tol: float) -> None:
 # evolve / converge
 
 
-@lru_cache(maxsize=8)
-def _step_maps(pattern: bytes):
-    """The maps of a step of rho held on ``pattern``, its sorted flat entries
-    as bytes: the class pairs the entries touch (``dynamics._class_pairs``),
-    each block entry's place in the held vector (its trailing zero where
-    none), the pattern the noise writes (the blocks' ``_noise_closure``), the
-    blocks' places in it and its noise maps."""
-    positions = np.frombuffer(pattern, dtype=int)
-    pairs = _class_pairs(positions)
-    at = np.searchsorted(positions, pairs.positions).clip(max=len(positions) - 1)
-    gather = np.where(positions[at] == pairs.positions, at, len(positions))
-    noisy = _noise_closure(pairs.positions)
-    place = np.searchsorted(noisy, pairs.positions)
-    return pairs, gather, noisy.tobytes(), place, _packed_edge_maps(noisy)
-
-
-def _noisy_step(pattern: bytes, x: np.ndarray, trotter: TrotterConfig, noise: NoiseSpec):
-    """A Trotter step and edge noise of rho held as the entry vector x on
-    ``pattern``, with the dense steps' bits: the pattern the noise writes,
-    and rho's entry vector there."""
-    pairs, gather, noisy, place, edges = _step_maps(pattern)
-    stepped = np.zeros(len(edges[0][0]), dtype=complex)  # one pair index per noisy entry
-    stepped.put(place, _pair_trotter(x.take(gather), pairs, trotter.g2, trotter.dt))
-    return noisy, np.append(_packed_noise(stepped, edges, noise), 0)
-
-
-def _vacuum_entries(pattern: bytes) -> np.ndarray:
-    """|0><0| held as an entry vector on ``pattern``, which holds entry 0."""
-    return np.append(np.frombuffer(pattern, dtype=int) == 0, 0).astype(complex)
-
-
 def cmd_evolve(cfg: RunConfig) -> int:
     """Trotter steps with noise after each one; cooling if requested.
 
     The noiseless reference state is advanced in parallel so the fidelity
     column always compares against the ideal trajectory at the same time.
-    rho is held as an entry vector from the vacuum on: on the class-diagonal
-    entries (``lattice.charge_classes``) without cooling, which both steps
-    keep, and on the settled pattern (``cooling._settled``) with it.  A step
-    runs on the entries the last one wrote; a cooled step that needs no sweep
-    stays on its noisy pattern.
+    rho is held as entries from the vacuum on (``Held.vacuum``), and each
+    step reads a fresh dense rho.
     """
     trotter = TrotterConfig(g2=cfg.g2, total_time=cfg.total_time, n_steps=cfg.n_steps)
     noise = cfg.noise_spec()
-    psi = vacuum_state()
-    pattern = (_settled().positions if cfg.cool else np.sort(charge_classes().positions)).tobytes()
-    x = _vacuum_entries(pattern)
+    psi, held = vacuum_state(), Held.vacuum(cfg.cool)
     rows, reports, sweeps = [], [], 0
     for step in range(1, cfg.n_steps + 1):
         psi = trotter_step_state(psi, trotter)
-        pattern, x = _noisy_step(pattern, x, trotter, noise)
+        held = held.step(trotter, noise)
         if cfg.cool:
-            pattern, x, report = _cooled(pattern, x, cfg.tol, cfg.max_sweeps)
+            held, report = held.cool(cfg.tol, cfg.max_sweeps)
             reports.append(report)
             sweeps = report.sweeps_used
-        rho = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)  # fresh: a reader may keep it
-        rho.reshape(-1)[np.frombuffer(pattern, dtype=int)] = x[:-1]
+        rho = held.dense()  # fresh: a reader may keep it
         rows.append(
             f"{step},{_fmt(step * trotter.dt)},{_fmt(fidelity(rho, psi))},"
             f"{_fmt(gi_overlap(rho))},{sweeps}"
@@ -186,14 +136,11 @@ def cmd_converge(cfg: RunConfig) -> int:
     """One noisy Trotter step, then cooling sweeps; one row per sweep.
 
     Sweep 0 is the state before any cooling.  The step size is fixed at 0.1,
-    the setting the reference per-sweep overlap table was produced with.  rho
-    is held as an entry vector from the vacuum on the settled pattern, as in
-    a cooled `evolve`, and takes that loop's first step.
+    the setting the reference per-sweep overlap table was produced with.  The
+    step is a cooled `evolve`'s first.
     """
     trotter = TrotterConfig(g2=cfg.g2, total_time=0.1, n_steps=1)
-    pattern = _settled().positions.tobytes()
-    pattern, x = _noisy_step(pattern, _vacuum_entries(pattern), trotter, cfg.noise_spec())
-    _, _, report = _cooled(pattern, x, cfg.tol, cfg.max_sweeps)
+    _, report = Held.vacuum(True).step(trotter, cfg.noise_spec()).cool(cfg.tol, cfg.max_sweeps)
     rows = [
         f"{sweep},{_fmt(overlap)},{_fmt(1.0 - overlap)}"
         for sweep, overlap in enumerate(report.overlaps)

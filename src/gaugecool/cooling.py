@@ -43,11 +43,13 @@ through flat index maps (``_Pattern``): each vertex stage multiplies the
 superoperator's 25 connected blocks (``_pair_blocks``) with entries gathered
 from the vector, which gives ``cool_vertex``'s bits.  The first sweep runs
 on the pattern rho starts on, each later one on the settled pattern, and
-each pattern's maps are derived once (``_sweep_maps``).  ``_cooled`` runs
-the cooled `evolve` and `converge` steps; ``iterative_cooling`` refuses a
-rho with a non-finite entry, holds it on its nonzero entries, and returns
-the settled entries as a dense rho.  ``cool_vertex`` and ``cooling_sweep``
-stay the dense references.
+each pattern's maps are derived once (``_sweep_maps``).  ``Held`` is that
+entry form of rho: it starts at the vacuum or holds a dense rho on its
+nonzeros, steps through ``dynamics``' class-pair Trotter kernel and edge
+arithmetic, and runs the one sweep loop (``Held.cool``), which the cooled
+`evolve` and `converge` steps run, and ``iterative_cooling`` after its dense
+early return.  ``cool_vertex`` and ``cooling_sweep`` stay the dense
+references.
 """
 
 from __future__ import annotations
@@ -59,12 +61,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dynamics import NoiseSpec, TrotterConfig, _packed_noise, _pair_trotter, _step_maps
 from .lattice import (
     EDGE_DIM,
     N_VERTICES,
     TOTAL_DIM,
     _components,
     _state_layout,
+    charge_classes,
     lift_pair,
     local_view,
     pair_cg_basis,
@@ -82,6 +86,8 @@ __all__ = [
     "cool_vertex",
     "cooling_sweep",
     "gi_overlap",
+    "check_cooling_parameters",
+    "Held",
     "iterative_cooling",
 ]
 
@@ -494,33 +500,76 @@ def _sweep_maps(pattern: bytes) -> _Pattern:
     return _pattern(np.frombuffer(pattern, dtype=int), _settled().positions)
 
 
-def _cool_entries(x: np.ndarray, pattern: _Pattern, overlaps: list[float], tol: float,
-                  max_sweeps: int) -> tuple[np.ndarray, CoolingReport]:
-    """``iterative_cooling`` on rho held on pattern, whose overlaps so far
-    (x's own last) are given: sweep onto the settled pattern until the
-    overlap exceeds 1 - tol or max_sweeps sweeps have run."""
-    while overlaps[-1] <= 1.0 - tol and len(overlaps) <= max_sweeps:
-        for stage in pattern.sweep:
-            x = _cool_stage(x, stage)
-        pattern = _settled()
-        overlaps.append(_entry_overlap(x, pattern))
-    return x, CoolingReport(overlaps, len(overlaps) - 1, overlaps[-1] > 1.0 - tol)
-
-
-def _cooled(pattern: bytes, x: np.ndarray, tol: float, max_sweeps: int):
-    """``iterative_cooling`` of rho held as the entry vector x on ``pattern``:
-    the pattern it is held on after (the settled one unless no sweep ran),
-    its entry vector and the cooling report."""
-    held = _sweep_maps(pattern)
-    x, report = _cool_entries(x, held, [_entry_overlap(x, held)], tol, max_sweeps)
-    return (_settled().positions.tobytes() if report.sweeps_used else pattern), x, report
-
-
-def _check_cooling_parameters(tol: float, max_sweeps: int) -> None:
+def check_cooling_parameters(tol: float, max_sweeps: int) -> None:
     """Reject a tol that is not finite and positive, or a max_sweeps that is
     not an integer of at least 1."""
     _check_positive(tol, "tol")
     _check_count(max_sweeps, "max_sweeps")
+
+
+class Held(NamedTuple):
+    """A 625x625 rho held as its values on a pattern of entries: ``pattern``
+    holds the sorted flat entries row * 625 + col as bytes, the key of the
+    pattern's cached maps (``dynamics._step_maps``, ``_sweep_maps``), and
+    ``x`` the values in that order, then one zero that stands for every
+    entry outside.  A step and a cooling run return a new Held, on the
+    pattern they write, with the bits of the dense library calls."""
+
+    pattern: bytes
+    x: np.ndarray
+
+    @classmethod
+    def vacuum(cls, cool: bool) -> Held:
+        """|0><0| on the settled pattern (``_settled``), where a cooled run
+        lives, or else on the sorted class-diagonal entries
+        (``lattice.charge_classes``), which both steps keep."""
+        positions = _settled().positions if cool else np.sort(charge_classes().positions)
+        return cls(positions.tobytes(), np.append(positions == 0, 0).astype(complex))
+
+    @classmethod
+    def of(cls, rho: np.ndarray) -> Held:
+        """rho held on its nonzero entries.  A rho that is not 625x625, or
+        that has a non-finite entry (NaN and inf are nonzero, so held), is a
+        ValueError."""
+        if np.shape(rho) != (TOTAL_DIM, TOTAL_DIM):
+            raise ValueError(f"rho must be a {TOTAL_DIM}x{TOTAL_DIM} matrix")
+        positions = np.flatnonzero(rho)
+        x = np.append(np.take(rho, positions), 0).astype(complex)
+        if not np.isfinite(x).all():
+            raise ValueError("rho has non-finite entries")
+        return cls(positions.tobytes(), x)
+
+    def step(self, trotter: TrotterConfig, noise: NoiseSpec) -> Held:
+        """``trotter_step`` then ``apply_noise_all_edges``: the Trotter kernel
+        on the class pairs the held entries touch, then the edge noise on the
+        entries it can write, where the result is held."""
+        pairs, gather, noisy, place, edges = _step_maps(self.pattern)
+        stepped = np.zeros(len(edges[0][0]), dtype=complex)  # one pair index per noisy entry
+        stepped.put(place, _pair_trotter(self.x.take(gather), pairs, trotter.g2, trotter.dt))
+        return Held(noisy, np.append(_packed_noise(stepped, edges, noise), 0))
+
+    def cool(self, tol: float, max_sweeps: int) -> tuple[Held, CoolingReport]:
+        """Sweep until the GI overlap exceeds 1 - tol or max_sweeps sweeps
+        have run: the first sweep through the maps of the held pattern, each
+        later one on the settled pattern, every overlap read on the entries
+        (``_entry_overlap``).  Returns rho held on the settled pattern, or
+        this Held if no sweep ran, and the report."""
+        check_cooling_parameters(tol, max_sweeps)
+        maps, x = _sweep_maps(self.pattern), self.x
+        overlaps = [_entry_overlap(x, maps)]
+        while overlaps[-1] <= 1.0 - tol and len(overlaps) <= max_sweeps:
+            for stage in maps.sweep:
+                x = _cool_stage(x, stage)
+            maps = _settled()
+            overlaps.append(_entry_overlap(x, maps))
+        held = Held(maps.positions.tobytes(), x) if len(overlaps) > 1 else self
+        return held, CoolingReport(overlaps, len(overlaps) - 1, overlaps[-1] > 1.0 - tol)
+
+    def dense(self) -> np.ndarray:
+        """A fresh 625x625 rho."""
+        rho = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
+        rho.reshape(-1)[np.frombuffer(self.pattern, dtype=int)] = self.x[:-1]
+        return rho
 
 
 def iterative_cooling(
@@ -528,20 +577,15 @@ def iterative_cooling(
 ) -> tuple[np.ndarray, CoolingReport]:
     """Sweep until the GI overlap exceeds 1 - tol or max_sweeps is reached.
 
-    A rho with a non-finite entry is a ValueError.  The first overlap is the
-    dense ``gi_overlap``; then rho is held on its nonzero entries, and every
-    sweep and later overlap runs on entry vectors (``_cool_entries``), the
-    first sweep through the maps of rho's own pattern (``_sweep_maps``)."""
-    _check_cooling_parameters(tol, max_sweeps)
-    # the kernels read only some entries, so a NaN elsewhere would be dropped
-    if not np.isfinite(rho).all():
-        raise ValueError("rho has non-finite entries")
-    overlaps = [gi_overlap(rho)]
-    if overlaps[0] > 1.0 - tol:
-        return rho, CoolingReport(overlaps, 0, True)
-    positions = np.flatnonzero(rho)
-    x = np.append(rho.take(positions), 0).astype(complex)
-    x, report = _cool_entries(x, _sweep_maps(positions.tobytes()), overlaps, tol, max_sweeps)
-    out = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
-    out.put(_settled().positions, x[:-1])
-    return out, report
+    rho is held on its nonzero entries first (``Held.of``), so a rho with a
+    non-finite entry is a ValueError.  Then the dense ``gi_overlap`` is read
+    once: a rho already within tol comes back as it is.  Otherwise
+    ``Held.cool`` sweeps the held entries and reads the report's overlaps,
+    the first with the dense read's bits, and the result is made dense."""
+    check_cooling_parameters(tol, max_sweeps)
+    held = Held.of(rho)
+    overlap = gi_overlap(rho)
+    if overlap > 1.0 - tol:
+        return rho, CoolingReport([overlap], 0, True)
+    held, report = held.cool(tol, max_sweeps)
+    return held.dense(), report

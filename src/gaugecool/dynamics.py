@@ -27,9 +27,10 @@ try ``lattice.pack``; on its 2,273 entries they run the c = c' blocks, the
 four edges as fixed index arithmetic, and one ``eigvalsh`` per class stack.
 Otherwise the Trotter step runs on the pairs rho's nonzeros touch, and the
 noise and ``hygiene`` take the dense code, which is also the tests' oracle.
-The choice rests on that exact property of the input alone.  `evolve` holds
-rho as entries and calls the kernel and the edge arithmetic itself, on any
-pattern that ``_noise_closure`` closes.
+The choice rests on that exact property of the input alone.  A rho held as
+entries (``cooling.Held``) steps on the same kernel and edge arithmetic, on
+any pattern that ``_noise_closure`` closes, through its pattern's
+``_step_maps``, derived once per pattern (at most 8 kept).
 
 Noise is applied edge-locally at the channel (Kraus) level:
 
@@ -345,6 +346,22 @@ def _packed_noise(packed: np.ndarray, edge_maps, spec: NoiseSpec) -> np.ndarray:
             out[diag[i]] += fed
         packed = out
     return packed
+
+
+@lru_cache(maxsize=8)
+def _step_maps(pattern: bytes):
+    """The maps of a step of rho held on ``pattern``, its sorted flat entries
+    as bytes (``cooling.Held``): the class pairs the entries touch
+    (``_class_pairs``), each block entry's place in the held vector (its
+    trailing zero where none), the pattern the noise writes (the blocks'
+    ``_noise_closure``), the blocks' places in it and its noise maps."""
+    positions = np.frombuffer(pattern, dtype=int)
+    pairs = _class_pairs(positions)
+    at = np.searchsorted(positions, pairs.positions).clip(max=len(positions) - 1)
+    gather = np.where(positions[at] == pairs.positions, at, len(positions))
+    noisy = _noise_closure(pairs.positions)
+    place = np.searchsorted(noisy, pairs.positions)
+    return pairs, gather, noisy.tobytes(), place, _packed_edge_maps(noisy)
 
 
 def _depolarizing_form(p: float):

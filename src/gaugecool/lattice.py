@@ -332,7 +332,7 @@ def gauge_action(v: int, g: np.ndarray) -> np.ndarray:
 def _pair_action(g: np.ndarray) -> np.ndarray:
     """The 25x25 pair operator that ``gauge_action`` lifts to a vertex:
     conj(D(g)) on m of the outgoing edge, D(g) on n of the incoming edge."""
-    d = wigner_d(1, np.asarray(g, dtype=complex))
+    d = wigner_d(1, g)
     return np.kron(_edge_operator(1.0, m_op=np.conj(d)), _edge_operator(1.0, n_op=d))
 
 

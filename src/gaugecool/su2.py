@@ -189,22 +189,39 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     return float(_cg_blocks(tj1, tj2)[tJ][row, (tM + tJ) // 2])
 
 
+def _checked_su2(g, where: str) -> np.ndarray:
+    """g as a read-only complex 2x2 array, or a ValueError naming ``where``
+    unless g is 2x2, finite, unitary and of determinant 1, each to 1e-9."""
+    arr = np.array(g, dtype=complex)
+    if arr.shape != (2, 2):
+        raise ValueError(f"{where} must be a 2x2 matrix")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{where} has non-finite entries")
+    if np.max(np.abs(arr @ arr.conj().T - np.eye(2))) > 1e-9:
+        raise ValueError(f"{where} is not unitary")
+    det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
+    if abs(det - 1.0) > 1e-9:
+        raise ValueError(f"{where} must have determinant 1")
+    arr.setflags(write=False)
+    return arr
+
+
 def wigner_d(twice_j: int, g: np.ndarray) -> np.ndarray:
     """Wigner D-matrix of g in spin j: the (2j+1)-dim representation matrix.
 
     Computed by repeated Clebsch-Gordan reduction of D^(j-1/2) (x) D^(1/2),
     i.e. exact polynomial evaluation in the entries of g (no Euler angles,
-    no branch cuts).  D^(0) = [[1]] and D^(1/2) = g.
+    no branch cuts).  D^(0) = [[1]] and D^(1/2) = g.  A g that is not an
+    SU(2) element (``_checked_su2``) is a ValueError.
     """
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (2, 2):
-        raise ValueError("group element must be a 2x2 matrix")
-    if twice_j == 0:
-        return np.ones((1, 1), dtype=complex)
-    if twice_j == 1:
-        return g.copy()
-    c = _cg_blocks(twice_j - 1, 1)[twice_j]
-    return c.T @ np.kron(wigner_d(twice_j - 1, g), g) @ c
+    g = _checked_su2(g, "group element")
+    if not isinstance(twice_j, numbers.Integral) or twice_j < 0:
+        raise ValueError("twice_j must be a non-negative integer")
+    d = g.copy() if twice_j else np.ones((1, 1), dtype=complex)
+    for tj in range(2, twice_j + 1):
+        c = _cg_blocks(tj - 1, 1)[tj]
+        d = c.T @ np.kron(d, g) @ c
+    return d
 
 
 def haar_batch(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .cooling import _pair_syndrome_operator
 from .lattice import _pair_action, edge_basis, pair_cg_basis, vertex_edges
-from .su2 import _check_count, _twice, wigner_d
+from .su2 import _check_count, _checked_su2, _twice, wigner_d
 
 __all__ = [
     "DesignSet",
@@ -42,21 +42,6 @@ __all__ = [
     "embed_unitary",
     "discrete_syndrome_check",
 ]
-
-
-def _checked_su2(g, where: str) -> np.ndarray:
-    arr = np.array(g, dtype=complex)
-    if arr.shape != (2, 2):
-        raise ValueError(f"{where} must be a 2x2 matrix")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{where} has non-finite entries")
-    if np.max(np.abs(arr @ arr.conj().T - np.eye(2))) > 1e-9:
-        raise ValueError(f"{where} is not unitary")
-    det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
-    if abs(det - 1.0) > 1e-9:
-        raise ValueError(f"{where} must have determinant 1")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)

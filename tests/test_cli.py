@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaugecool import cli, cooling, lattice
+from gaugecool import cli, cooling, dynamics, lattice
 from gaugecool.cli import RunConfig, build_parser, main
-from gaugecool.cooling import cooling_sweep, gi_overlap, iterative_cooling
+from gaugecool.cooling import Held, cooling_sweep, gi_overlap, iterative_cooling
 from gaugecool.dynamics import (
     NoiseSpec,
     TrotterConfig,
@@ -453,24 +453,25 @@ def cooled_evolve(monkeypatch, tmp_path, argv):
     the benchmark does, and each cooling report; it never falls back to
     ``iterative_cooling``."""
     states, reports = [], []
-    measure, cool = cli.gi_overlap, cli._cooled
+    measure, cool = cli.gi_overlap, Held.cool
 
     def keep_state(rho):
         states.append((rho, rho.copy()))
         return measure(rho)
 
-    def keep_report(*args):
-        out = cool(*args)
+    def keep_report(held, *args):
+        out = cool(held, *args)
         reports.append(out[-1])
         return out
 
     def refuse(*args, **kwargs):
         raise AssertionError("a cooled evolve called iterative_cooling")
 
-    monkeypatch.setattr(cli, "gi_overlap", keep_state)
-    monkeypatch.setattr(cli, "_cooled", keep_report)
-    monkeypatch.setattr(cooling, "iterative_cooling", refuse)
-    assert main([*argv, "--cool", "on", "--out", str(tmp_path / "cooled.csv")]) == 0
+    with monkeypatch.context() as patch:  # the dense chain cools through Held.cool too
+        patch.setattr(cli, "gi_overlap", keep_state)
+        patch.setattr(Held, "cool", keep_report)
+        patch.setattr(cooling, "iterative_cooling", refuse)
+        assert main([*argv, "--cool", "on", "--out", str(tmp_path / "cooled.csv")]) == 0
     return states, reports
 
 
@@ -539,15 +540,14 @@ def test_cooled_step_matches_the_dense_steps_on_random_states(kind):
         rho = cooling_sweep(dense_step(rho, trotter, noise))
         x = np.append(rho.take(positions), 0)
         assert not np.delete(rho.ravel(), positions).any()
-        pattern, x = cli._noisy_step(positions.tobytes(), x, trotter, noise)
-        pattern, out, report = cooling._cooled(pattern, x, 1e-15, 3)
-        want, dense_report = iterative_cooling(dense_step(rho, trotter, noise), tol=1e-15,
-                                               max_sweeps=3)
-        got = np.zeros(TOTAL_DIM**2, dtype=complex)
-        got[np.frombuffer(pattern, dtype=int)] = out[:-1]
-        assert np.max(np.abs(got.reshape(TOTAL_DIM, TOTAL_DIM) - want)) <= 1e-13
+        held, report = Held(positions.tobytes(), x).step(trotter, noise).cool(1e-15, 3)
+        noisy = dense_step(rho, trotter, noise)
+        want, dense_report = iterative_cooling(noisy, tol=1e-15, max_sweeps=3)
+        assert np.max(np.abs(held.dense() - want)) <= 1e-13
         assert report.sweeps_used == dense_report.sweeps_used >= 1
         assert report.overlaps == dense_report.overlaps
+        # held on the dense step's own nonzeros, as iterative_cooling holds it
+        assert Held.of(noisy).cool(1e-15, 3)[1].overlaps == report.overlaps
 
 
 def traced_peak(func):
@@ -577,17 +577,16 @@ def test_a_warm_cooled_step_allocates_less_than_one_dense_array():
              (classes, 0.01, False, 2273, None)]
     for start, rate, cool, size, sweeps in cases:
         noise = NoiseSpec("depolarizing", rate)
-        pattern = start.tobytes()
-        x = np.append(np.frombuffer(pattern, dtype=int) == 0, 0).astype(complex)
+        held = Held(start.tobytes(), np.append(start == 0, 0).astype(complex))
 
         def step():
-            noisy, y = cli._noisy_step(pattern, x, trotter, noise)
-            return cooling._cooled(noisy, y, 1e-5, 10) if cool else (noisy, y, None)
+            noisy = held.step(trotter, noise)
+            return noisy.cool(1e-5, 10) if cool else (noisy, None)
 
         for _ in range(4):  # warm, and on the pattern the run keeps
-            pattern, x, report = step()
-        (_, x, report), peak = traced_peak(step)
-        assert len(x) - 1 == size
+            held, report = step()
+        (held, report), peak = traced_peak(step)
+        assert len(held.x) - 1 == size
         assert report is None if sweeps is None else report.sweeps_used == sweeps
         assert peak < TOTAL_DIM**2 * np.dtype(complex).itemsize
 
@@ -597,15 +596,15 @@ def test_a_cooled_run_without_sweeps_settles_on_four_patterns(monkeypatch, tmp_p
     through the patterns the steps write, and the Trotter step's class pairs
     and the noise close on 18,517 entries after three steps: at most four
     patterns are derived, whatever the run's length."""
-    for cache in (cli._step_maps, cooling._sweep_maps):
+    for cache in (dynamics._step_maps, cooling._sweep_maps):
         cache.cache_clear()
     argv = ["evolve", "--cool", "on", "--rate", "0", "--steps", "8", "--time", "0.8"]
     sizes = []
-    step = cli._noisy_step
-    monkeypatch.setattr(cli, "_noisy_step", lambda *a: sizes.append(len(a[1]) - 1) or step(*a))
+    step = Held.step
+    monkeypatch.setattr(Held, "step", lambda h, *a: sizes.append(len(h.x) - 1) or step(h, *a))
     assert main([*argv, "--out", str(tmp_path / "cooled.csv")]) == 0
     assert sizes == [961, 9593, 18325] + [18517] * 5
-    assert cli._step_maps.cache_info().currsize == 4
+    assert dynamics._step_maps.cache_info().currsize == 4
     assert cooling._sweep_maps.cache_info().currsize == 3
 
 
@@ -618,7 +617,8 @@ def test_a_cold_cooled_evolve_derives_only_its_own_patterns(monkeypatch, tmp_pat
     stages = []
     stage = cooling._stage
     monkeypatch.setattr(cooling, "_stage", lambda *a, **kw: stages.append(a[1]) or stage(*a, **kw))
-    for cache in (cli._step_maps, cooling._sweep_maps, cooling._settled, lattice._state_layout):
+    for cache in (dynamics._step_maps, cooling._sweep_maps, cooling._settled,
+                  lattice._state_layout):
         cache.cache_clear()
     argv = ["evolve", "--cool", "on", "--rate", "0.01", "--steps", "2", "--time", "0.2"]
     started = not tracemalloc.is_tracing()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gaugecool import cooling
 from gaugecool.cooling import (
     CoolingReport,
+    Held,
     _pair_kraus,
     _cool_stage,
     _pair_blocks,
@@ -25,10 +26,10 @@ from gaugecool.cooling import (
     syndrome_operator,
     syndrome_probabilities,
 )
-from gaugecool.cli import _step_maps
 from gaugecool.dynamics import (
     NoiseSpec,
     TrotterConfig,
+    _step_maps,
     apply_noise_all_edges,
     hygiene,
     trotter_step,
@@ -331,6 +332,7 @@ def test_iterative_cooling_converges_immediately_on_gi_state():
     assert report.converged
     assert len(report.overlaps) == 1
     assert np.max(np.abs(out - rho)) < 1e-12
+    assert out is rho
 
 
 def test_iterative_cooling_report_bookkeeping():
@@ -681,6 +683,33 @@ def test_nan_where_no_kernel_reads_is_a_value_error():
         with pytest.raises(ValueError, match="non-finite"):
             iterative_cooling(rho)
         assert np.array_equal(rho, before, equal_nan=True)
+
+
+@pytest.mark.parametrize("layout", [np.asfortranarray, np.real, lambda r: r.astype(complex)])
+def test_held_of_a_dense_rho_makes_it_dense_again(layout):
+    rho = layout(protocol_state())
+    held = Held.of(rho)
+    assert len(held.x) == np.count_nonzero(rho) + 1 and held.x[-1] == 0
+    out = held.dense()
+    assert out.shape == (TOTAL_DIM, TOTAL_DIM) and out.dtype == complex
+    assert np.array_equal(out, rho)
+    assert out is not held.dense()
+
+
+@pytest.mark.parametrize(
+    "rho, match",
+    [
+        (np.eye(TOTAL_DIM - 1), "625x625"),
+        (np.eye(TOTAL_DIM).reshape(-1), "625x625"),
+        (np.full((TOTAL_DIM, TOTAL_DIM), np.nan), "non-finite"),
+        (np.diag(np.r_[np.inf, np.zeros(TOTAL_DIM - 1)]), "non-finite"),
+        (np.diag(np.r_[np.zeros(TOTAL_DIM - 1), complex(0, -np.inf)]), "non-finite"),
+    ],
+    ids=["624x624", "flat", "all_nan", "inf_at_0_0", "minus_inf_imaginary_last"],
+)
+def test_held_of_refuses_a_bad_rho(rho, match):
+    with pytest.raises(ValueError, match=match):
+        Held.of(rho)
 
 
 def test_iterative_cooling_validation():

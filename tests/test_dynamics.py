@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from gaugecool import cli, cooling, dynamics
+from gaugecool import cooling, dynamics
 from gaugecool.cli import main
 from gaugecool.dynamics import (
     NoiseSpec,
@@ -222,7 +222,7 @@ def pattern_key(k):
     return (np.array([k * (TOTAL_DIM + 1)]).tobytes(),)
 
 
-KEYED_CACHES = [(_class_trotter, g2_dt_key), (cli._step_maps, pattern_key),
+KEYED_CACHES = [(_class_trotter, g2_dt_key), (dynamics._step_maps, pattern_key),
                 (cooling._sweep_maps, pattern_key)]
 
 
@@ -648,7 +648,7 @@ def test_uncooled_runs_step_on_the_packed_kernels(monkeypatch, tmp_path):
         hygiene(state)
     assert spy.packed == [True] * 9
     assert spy.calls == ["_pair_trotter", "_packed_noise"] * 3 + ["blocks"] * 3
-    for module, name in ((cli, "_pair_trotter"), (cli, "_packed_noise"),
+    for module, name in ((cooling, "_pair_trotter"), (cooling, "_packed_noise"),
                          (dynamics, "trotter_step"), (dynamics, "apply_noise_all_edges"),
                          (cooling, "iterative_cooling"), (cooling, "cool_vertex")):
         monkeypatch.setattr(module, name, spy.record(name, getattr(module, name)))

@@ -17,6 +17,7 @@ from gaugecool.dynamics import (
     _class_edge_maps,
     _class_trotter,
     _diagonal_pairs,
+    _step_maps,
 )
 from gaugecool.hamiltonian import haar_mc_oracle, magnetic_plaquette_matrix
 from gaugecool.lattice import (
@@ -44,9 +45,8 @@ from gaugecool.lattice import (
     vacuum_state,
     vertex_edges,
 )
-from gaugecool import cli
 from gaugecool.cooling import (
-    _cooled,
+    Held,
     _pair_blocks,
     _pair_superoperator,
     _settled,
@@ -58,7 +58,7 @@ from gaugecool.cooling import (
     syndrome_probabilities,
 )
 from gaugecool.klaudit import residual_pauli_weights
-from gaugecool.su2 import _cg_blocks, _spin_matrices, haar_sample, pauli_matrices
+from gaugecool.su2 import _cg_blocks, _spin_matrices, haar_sample, pauli_matrices, wigner_d
 from gaugecool.tdesign import (
     DesignSet,
     binary_octahedral_design,
@@ -362,10 +362,10 @@ def test_dense_operator_builders_retain_no_dense_array():
     vac = vacuum_state()
     noisy = depolarizing_channel(np.outer(vac, vac.conj()), 0, 0.05)
     assert pack(noisy) is not None
-    held = np.zeros(len(_settled().positions) + 1, dtype=complex)
+    x = np.zeros(len(_settled().positions) + 1, dtype=complex)
     # built inside the window, whatever ran before
     for cache in (charge_classes, _class_edge_maps, _class_trotter, _diagonal_pairs, _pair_blocks,
-                  _state_layout, _settled, cli._step_maps, _sweep_maps):
+                  _state_layout, _settled, _step_maps, _sweep_maps):
         cache.cache_clear()
     started = not tracemalloc.is_tracing()
     if started:
@@ -381,11 +381,10 @@ def test_dense_operator_builders_retain_no_dense_array():
             singlet_projector(v)
             build_cg_basis(v)
         report = iterative_cooling(noisy, max_sweeps=3)[1]
-        held[0] = 1.0
-        pattern, held = cli._noisy_step(_settled().positions.tobytes(), held,
-                                        TrotterConfig(g2=1.0, total_time=0.37, n_steps=1),
-                                        NoiseSpec("depolarizing", 0.01))
-        _, held, cooled = _cooled(pattern, held, 1e-5, 10)
+        x[0] = 1.0
+        held = Held(_settled().positions.tobytes(), x).step(
+            TrotterConfig(g2=1.0, total_time=0.37, n_steps=1), NoiseSpec("depolarizing", 0.01))
+        held, cooled = held.cool(1e-5, 10)
         gc.collect()
         unpacked = tracemalloc.get_traced_memory()[0]
         stepped = trotter_step(noisy, TrotterConfig(g2=1.0, total_time=0.37, n_steps=1))
@@ -435,6 +434,23 @@ def test_gauge_action_homomorphism():
         g, h = haar_sample(rng), haar_sample(rng)
         dev = gauge_action(v, g) @ gauge_action(v, h) - gauge_action(v, g @ h)
         assert np.max(np.abs(dev)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "g, match",
+    [
+        ([[np.nan, 0], [0, 1]], "non-finite"),
+        (np.diag([2.0, 1.0]), "not unitary"),
+        (np.diag([1.0, -1.0]), "determinant 1"),
+        (np.eye(3), "2x2"),
+    ],
+    ids=["nan", "diag_2_1", "diag_1_minus_1", "3x3"],
+)
+@pytest.mark.parametrize("call", [lambda g: wigner_d(2, g), lambda g: gauge_action(0, g)],
+                         ids=["wigner_d", "gauge_action"])
+def test_a_group_element_outside_su2_is_a_value_error(call, g, match):
+    with pytest.raises(ValueError, match=match):
+        call(g)
 
 
 @pytest.mark.parametrize("axis", ["x", "y", "z"])

@@ -168,6 +168,12 @@ def test_wigner_d_trivial_and_defining():
     assert np.allclose(wigner_d(2, np.eye(2)), np.eye(3))
 
 
+@pytest.mark.parametrize("twice_j", [-1, 2.0])
+def test_wigner_d_refuses_a_spin_that_is_not_a_non_negative_integer(twice_j):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        wigner_d(twice_j, np.eye(2))
+
+
 @pytest.mark.parametrize("tj", [1, 2, 3, 4])
 def test_wigner_d_matches_symmetric_power(tj):
     rng = np.random.default_rng(11 + tj)
