@@ -18,8 +18,9 @@ and, with cooling, ``Held.cool``, and hands a fresh dense rho
 is the first step of a cooled ``evolve``, one row per sweep.  This module
 keeps the flags and the I/O; the numerics live in the library.
 
-``kl-audit`` and ``check`` import ``klaudit`` and ``tdesign`` inside their
-functions, so an ``evolve`` or ``converge`` process never loads them.
+``kl-audit`` imports ``klaudit`` inside its function, and ``check`` the
+suites of ``reference`` (which import ``klaudit`` and ``tdesign`` inside
+theirs), so an ``evolve`` or ``converge`` process never loads any of them.
 
 All CSV output is deterministic: fixed header, 12 significant digits,
 LF line endings, no timestamps.  Exit codes: 0 success, 1 check failure,
@@ -31,19 +32,12 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 
 from .cooling import CoolingReport, Held, check_cooling_parameters, gi_overlap
 from .dynamics import NoiseSpec, TrotterConfig, fidelity, trotter_step_state
-from .hamiltonian import (
-    electric_hamiltonian,
-    haar_mc_oracle,
-    magnetic_hamiltonian,
-    magnetic_plaquette_matrix,
-)
-from .lattice import gauge_casimir, vacuum_state
+from .lattice import vacuum_state
 
 __all__ = ["RunConfig", "main", "build_parser"]
 
@@ -177,146 +171,22 @@ def cmd_kl_audit(out: str | None) -> int:
 # check suites
 
 
-def _suite_hamiltonian(seed: int) -> list[tuple[str, float, float]]:
-    checks = []
-    hb = magnetic_hamiltonian(1.0)
-    he = electric_hamiltonian(1.0)
-    checks.append(("magnetic term Hermitian", float(np.max(np.abs(hb - hb.conj().T))), 1e-12))
-    for v in range(4):
-        c = gauge_casimir(v)
-        checks.append(
-            (f"[H_B, Casimir] vertex {v}", float(np.max(np.abs(hb @ c - c @ hb))), 1e-10)
-        )
-        checks.append(
-            (f"[H_E, Casimir] vertex {v}", float(np.max(np.abs(he @ c - c @ he))), 1e-12)
-        )
-    est = haar_mc_oracle(20000, np.random.default_rng(seed))
-    checks.append(
-        (
-            "plaquette matrix vs 2e4-sample Haar average",
-            float(np.max(np.abs(est - magnetic_plaquette_matrix()))),
-            0.15,
-        )
-    )
-    return checks
-
-
-def _load_design(design_file: str | None):
-    from .tdesign import binary_octahedral_design, read_design
-
-    if design_file is None:
-        return binary_octahedral_design()
-    return read_design(design_file)
-
-
-def _suite_tdesign(design_file: str | None) -> list[tuple[str, float, float]]:
-    from .tdesign import discrete_syndrome_check, required_design_strength, tdesign_deviations
-
-    checks = []
-    design = _load_design(design_file)
-    devs = tdesign_deviations(design, design.claimed_t)
-    worst = max(devs, key=devs.get)
-    checks.append(
-        (
-            f"design strength t={design.claimed_t}, worst bidegree ({worst[0]},{worst[1]})",
-            devs[worst],
-            1e-9,
-        )
-    )
-    for v in range(4):
-        checks.append(
-            (
-                f"syndrome operators from the group average, vertex {v}",
-                discrete_syndrome_check(design, v),
-                1e-9,
-            )
-        )
-    checks.append(
-        (
-            "required strength, syndrome map (k=2, k_out=1, j=1/2)",
-            float(required_design_strength(2, 1, Fraction(1, 2)) - 3),
-            0.5,
-        )
-    )
-    checks.append(
-        (
-            "required strength, syndrome map (k=2, k_out=1, j=1)",
-            float(required_design_strength(2, 1, 1) - 6),
-            0.5,
-        )
-    )
-    return checks
-
-
-def _suite_qft(design_file: str | None) -> list[tuple[str, float, float]]:
-    from .tdesign import embed_unitary, qft_kernel_check, truncated_qft
-
-    checks = []
-    design = _load_design(design_file)
-    for j_cut in (Fraction(1, 2), Fraction(1)):
-        qft = truncated_qft(design, j_cut)
-        gram = qft.w @ qft.w.conj().T
-        iso = float(np.max(np.abs(gram - np.eye(qft.d_out))))
-        checks.append((f"Fourier rows orthonormal, j_cut={j_cut}", iso, 1e-9))
-        checks.append(
-            (f"character kernel identity, j_cut={j_cut}", qft_kernel_check(design, j_cut), 1e-9)
-        )
-        if iso <= 1e-9:
-            u = embed_unitary(qft)
-            checks.append(
-                (
-                    f"embedded matrix unitary, j_cut={j_cut}",
-                    float(np.max(np.abs(u @ u.conj().T - np.eye(qft.n_t)))),
-                    1e-9,
-                )
-            )
-            checks.append(
-                (
-                    f"embedding preserves the Fourier rows, j_cut={j_cut}",
-                    float(np.max(np.abs(u[: qft.d_out] - qft.w))),
-                    0.0,
-                )
-            )
-    return checks
-
-
-def _suite_detection() -> list[tuple[str, float, float]]:
-    from .klaudit import convention_audit, detection_check, wigner_eckart_residual
-
-    checks = []
-    for pauli in ("X", "Y", "Z"):
-        for edge in range(4):
-            checks.append(
-                (f"undetected singlet reach of {pauli} on edge {edge}",
-                 detection_check(pauli, edge), 1e-12)
-            )
-    for q in (-1, 0, 1):
-        for edge in range(4):
-            checks.append(
-                (f"tensor factorization of the q={q:+d} component, edge {edge}",
-                 wigner_eckart_residual(q, edge), 1e-10)
-            )
-    report = convention_audit()
-    checks.append(
-        ("singlet labeling matches the reference pair product",
-         0.0 if report.matches_reference else 1.0, 0.5)
-    )
-    return checks
-
-
 _SUITES = ("hamiltonian", "tdesign", "qft", "detection", "all")
 
 
 def cmd_check(suite: str, seed: int, design_file: str | None) -> int:
+    """One line per check of the suite, then a summary; exit 1 if any fails."""
+    from .reference import detection_checks, hamiltonian_checks, qft_checks, tdesign_checks
+
     checks: list[tuple[str, float, float]] = []
     if suite in ("hamiltonian", "all"):
-        checks += _suite_hamiltonian(seed)
+        checks += hamiltonian_checks(seed)
     if suite in ("tdesign", "all"):
-        checks += _suite_tdesign(design_file)
+        checks += tdesign_checks(design_file)
     if suite in ("qft", "all"):
-        checks += _suite_qft(design_file)
+        checks += qft_checks(design_file)
     if suite in ("detection", "all"):
-        checks += _suite_detection()
+        checks += detection_checks()
     failures = 0
     for name, value, tol in checks:
         ok = value <= tol

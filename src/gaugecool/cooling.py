@@ -32,9 +32,9 @@ bra) and applies the pair superoperator sum_{J,N} k (x) conj(k) to the rows,
 one connected block of it at a time (``_pair_blocks``);
 ``syndrome_probabilities`` and ``gi_overlap`` (the singlet's only) read
 per-vertex sector weights: 25x25 pair projectors traced against the pair state.
-The dense 625-dim references (``recovery_kraus`` and ``syndrome_operator``)
-are these pair operators lifted by ``lattice.lift_pair``; the kernels are
-tested against them.
+The dense 625-dim references, these pair operators lifted by
+``lattice.lift_pair``, live in ``reference``; the kernels are tested against
+them.
 
 One sweep leaves any rho between 31 basis states, and a sweep writes the
 961 entries between them onto themselves (``_settled``).  Every cooling run
@@ -66,10 +66,10 @@ from .lattice import (
     EDGE_DIM,
     N_VERTICES,
     TOTAL_DIM,
+    _check_shape,
     _components,
     _state_layout,
     charge_classes,
-    lift_pair,
     local_view,
     pair_cg_basis,
     vertex_edges,
@@ -79,10 +79,7 @@ from .su2 import _check_count, _check_positive, _twice
 __all__ = [
     "Syndrome",
     "CoolingReport",
-    "KrausChannel",
-    "syndrome_operator",
     "syndrome_probabilities",
-    "recovery_kraus",
     "cool_vertex",
     "cooling_sweep",
     "gi_overlap",
@@ -126,23 +123,6 @@ class CoolingReport:
     @property
     def deficits(self) -> list[float]:
         return [1.0 - x for x in self.overlaps]
-
-
-def syndrome_operator(v: int, j, m, n) -> np.ndarray:
-    """T^(J)_{MN}: maps the (J,N) component to (J,M) with weight 1/sqrt(2J+1)."""
-    syn = Syndrome(j, m, n)
-    return lift_pair(_pair_syndrome_operator(int(2 * syn.j), int(2 * syn.m), int(2 * syn.n)), v)
-
-
-def _pair_syndrome_operator(tj: int, tm: int, tn: int) -> np.ndarray:
-    """The 25x25 pair operator that ``syndrome_operator`` lifts to a vertex,
-    at the labels (2J, 2M, 2N)."""
-    basis = pair_cg_basis()
-    if tj not in basis.mu:
-        raise ValueError(f"no J={Fraction(tj, 2)} component at this vertex")
-    (cols_m, alphas_m), (cols_n, alphas_n) = basis.columns[tj, tm], basis.columns[tj, tn]
-    assert alphas_m == alphas_n
-    return (basis.basis[:, cols_m] @ basis.basis[:, cols_n].T) / np.sqrt(tj + 1.0)
 
 
 @lru_cache(maxsize=1)
@@ -252,24 +232,6 @@ def _sector_weights(rho: np.ndarray, v: int) -> dict[tuple[int, int], float]:
         key: float(np.real(np.einsum("ij,ji->", p, pair)))
         for key, p in _pair_projectors().items()
     }
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """The recovery channel at one vertex: labels (J,N) and dense operators."""
-
-    vertex: int
-    labels: tuple[tuple[Fraction, Fraction], ...]
-    operators: tuple[np.ndarray, ...]
-
-
-def recovery_kraus(v: int) -> KrausChannel:
-    """Dense Kraus operators K_{J,N} = sum_alpha |0,0,sigma(alpha)><J,N,alpha|."""
-    kraus = _pair_kraus()
-    ops = tuple(lift_pair(k, v) for _, k in kraus)
-    for op in ops:
-        op.setflags(write=False)
-    return KrausChannel(vertex=v, labels=tuple(label for label, _ in kraus), operators=ops)
 
 
 def cool_vertex(rho: np.ndarray, v: int) -> np.ndarray:
@@ -531,8 +493,7 @@ class Held(NamedTuple):
         """rho held on its nonzero entries.  A rho that is not 625x625, or
         that has a non-finite entry (NaN and inf are nonzero, so held), is a
         ValueError."""
-        if np.shape(rho) != (TOTAL_DIM, TOTAL_DIM):
-            raise ValueError(f"rho must be a {TOTAL_DIM}x{TOTAL_DIM} matrix")
+        _check_shape(rho, (TOTAL_DIM, TOTAL_DIM), "rho")
         positions = np.flatnonzero(rho)
         x = np.append(np.take(rho, positions), 0).astype(complex)
         if not np.isfinite(x).all():

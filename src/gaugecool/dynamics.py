@@ -41,8 +41,8 @@ Noise is applied edge-locally at the channel (Kraus) level:
 Both have one closed form, ``_edge_channel`` on ``lattice.local_view``: scale
 the edge's (ket, bra) entries, then add a pooled edge population onto the
 edge's diagonal; ``_packed_noise`` does the same arithmetic on the packed
-entries, so both paths give the same bits.  ``apply_edge_kraus`` is
-the Kraus-sum reference.
+entries, so both paths give the same bits.  The Kraus-sum reference and
+the per-edge channels are in ``reference``.
 
 Density matrices are plain 625x625 complex arrays; every channel here is
 trace preserving and completely positive.
@@ -56,13 +56,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonian import _plaquette_entries, electric_edge_term
+from .hamiltonian import _electric_diagonal, _plaquette_entries
 from .lattice import (
     EDGE_DIM,
     N_EDGES,
     TOTAL_DIM,
     _blocks_by_size,
-    _check_edge,
+    _check_shape,
     _components,
     charge_classes,
     local_view,
@@ -78,9 +78,6 @@ __all__ = [
     "trotter_unitary",
     "trotter_step",
     "trotter_step_state",
-    "apply_edge_kraus",
-    "depolarizing_channel",
-    "amplitude_damping_channel",
     "apply_noise_all_edges",
     "fidelity",
     "hygiene",
@@ -148,8 +145,7 @@ def _class_trotter(g2: float, dt: float) -> tuple[np.ndarray, ...]:
     p[np.searchsorted(touched, rows), np.searchsorted(touched, cols)] = values
     with np.errstate(over="ignore", invalid="ignore"):
         hb = -(p + p.conj().T) / (2.0 * g2)
-        # H_E's diagonal, read off the edge term: the four edges' energies summed, e0 slowest
-        energies = reduce(np.add.outer, [np.diag(electric_edge_term(g2)).real] * N_EDGES).ravel()
+        energies = _electric_diagonal(g2)
     if not (np.isfinite(hb).all() and hb.any() and np.isfinite(energies).all()):
         raise ValueError(f"g2 = {g2!r} is out of range: H_B or H_E overflows, or H_B is zero")
     keep = hb.any(axis=1)
@@ -243,7 +239,9 @@ def trotter_step(rho: np.ndarray, cfg: TrotterConfig) -> np.ndarray:
 
     U is block diagonal on the charge classes, so rho steps block by block,
     U_c rho_cc' U_c'^dagger on each class pair that rho's nonzeros touch.  A
-    class-diagonal rho (``lattice.pack``) steps on its packed entries."""
+    class-diagonal rho (``lattice.pack``) steps on its packed entries.  A rho
+    that is not 625x625 is a ValueError."""
+    _check_shape(rho, (TOTAL_DIM, TOTAL_DIM), "rho")
     packed = pack(rho)
     if packed is not None:
         return unpack(_pair_trotter(packed, _diagonal_pairs(), cfg.g2, cfg.dt))
@@ -256,22 +254,12 @@ def trotter_step(rho: np.ndarray, cfg: TrotterConfig) -> np.ndarray:
 def trotter_step_state(psi: np.ndarray, cfg: TrotterConfig) -> np.ndarray:
     """One noiseless Trotter step of a pure state (the ideal reference): U @ psi,
     with U on the first axis, so a (625, k) stack steps column by column: as
-    U_c psi_c on each charge class, one batched product per class size."""
+    U_c psi_c on each charge class, one batched product per class size.  A
+    psi whose first axis is not 625 long is a ValueError."""
+    _check_shape(psi, (TOTAL_DIM, *np.shape(psi)[1:]), "psi")
     out = np.empty(psi.shape, dtype=np.result_type(psi, complex))
     for idx, u in zip(charge_classes().stacks, _class_trotter(cfg.g2, cfg.dt)):
         out[idx] = (u @ psi[idx].reshape(*idx.shape, -1)).reshape(idx.shape + psi.shape[1:])
-    return out
-
-
-def apply_edge_kraus(rho: np.ndarray, kraus: list[np.ndarray], edge: int) -> np.ndarray:
-    """sum_K (K on edge) rho (K on edge)^dagger without forming 625x625 Kraus."""
-    _check_edge(edge)
-    ket_split = (EDGE_DIM**edge, EDGE_DIM, -1)  # (kets before edge, edge ket, rest)
-    bra_split = (TOTAL_DIM * EDGE_DIM**edge, EDGE_DIM, -1)  # (..., edge bra, rest)
-    out = np.zeros((TOTAL_DIM, TOTAL_DIM), dtype=complex)
-    for k in kraus:
-        k_rho = np.matmul(k, rho.reshape(ket_split))
-        out += np.matmul(k.conj(), k_rho.reshape(bra_split)).reshape(TOTAL_DIM, TOTAL_DIM)
     return out
 
 
@@ -376,26 +364,6 @@ def _damping_form(gamma: float):
     return np.outer(keep, keep), range(1, EDGE_DIM), (0,), gamma
 
 
-def depolarizing_channel(rho: np.ndarray, edge: int, p: float) -> np.ndarray:
-    """(1-p) rho + (p/5) tr_e(rho) (x) 1_e on the given edge."""
-    return _edge_channel(rho, edge, p, _depolarizing_form)
-
-
-def _damping_kraus(gamma: float) -> tuple[np.ndarray, ...]:
-    k0 = np.diag([1.0] + [np.sqrt(1.0 - gamma)] * (EDGE_DIM - 1)).astype(complex)
-    ks = [k0]
-    for i in range(1, EDGE_DIM):
-        ki = np.zeros((EDGE_DIM, EDGE_DIM), dtype=complex)
-        ki[0, i] = np.sqrt(gamma)
-        ks.append(ki)
-    return tuple(ks)
-
-
-def amplitude_damping_channel(rho: np.ndarray, edge: int, gamma: float) -> np.ndarray:
-    """Amplitude damping of one edge toward |0,0,0> with rate gamma."""
-    return _edge_channel(rho, edge, gamma, _damping_form)
-
-
 _FORMS = {"depolarizing": _depolarizing_form, "amplitude_damping": _damping_form}
 
 
@@ -415,7 +383,10 @@ def apply_noise_all_edges(rho: np.ndarray, spec: NoiseSpec) -> np.ndarray:
 def fidelity(rho: np.ndarray, psi_ref: np.ndarray) -> float:
     """Overlap <psi|rho|psi> of a density matrix with a pure reference.  Only
     rho's block on supp psi x supp psi is read: an entry outside it never
-    enters, finite or not."""
+    enters, finite or not.  A rho that is not 625x625, or a psi that is not
+    625 long, is a ValueError."""
+    _check_shape(rho, (TOTAL_DIM, TOTAL_DIM), "rho")
+    _check_shape(psi_ref, (TOTAL_DIM,), "psi")
     support = np.flatnonzero(psi_ref)
     psi = psi_ref[support]
     return float(np.real(psi.conj() @ rho[np.ix_(support, support)] @ psi))

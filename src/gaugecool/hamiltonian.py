@@ -15,26 +15,26 @@ over the fundamental indices a, b0, b1, b2.  The Hamiltonian is
 H_B = -(P + P^dagger) / (2 g^2).  P has 256 nonzeros, on 161 states, which
 ``_plaquette_entries`` contracts directly; the dense P is scattered from them.
 
-``haar_mc_oracle`` estimates the same plaquette matrix by Monte Carlo over
-Haar-random group elements on the four edges, with no Clebsch-Gordan input,
-providing an independent cross-check of the contraction.
+``reference.haar_mc_oracle`` estimates the same plaquette matrix by Monte
+Carlo over Haar-random group elements on the four edges, with no
+Clebsch-Gordan input, providing an independent cross-check of the
+contraction.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .lattice import EDGE_DIM, N_EDGES, TOTAL_DIM, edge_basis, embed_edge_operator
-from .su2 import _check_count, _check_positive, clebsch_gordan, haar_batch
+from .lattice import EDGE_DIM, N_EDGES, TOTAL_DIM, edge_basis
+from .su2 import _check_positive, clebsch_gordan
 
 __all__ = [
     "electric_edge_term",
     "electric_hamiltonian",
     "magnetic_plaquette_matrix",
     "magnetic_hamiltonian",
-    "haar_mc_oracle",
 ]
 
 
@@ -45,10 +45,14 @@ def electric_edge_term(g2: float = 1.0) -> np.ndarray:
     return np.diag(g2 / 2 * jj).astype(complex)
 
 
+def _electric_diagonal(g2: float) -> np.ndarray:
+    """H_E's diagonal: the four edges' electric energies summed, e0 slowest."""
+    return reduce(np.add.outer, [np.diag(electric_edge_term(g2)).real] * N_EDGES).ravel()
+
+
 def electric_hamiltonian(g2: float = 1.0) -> np.ndarray:
-    """Sum of the per-edge electric terms, embedded over all four edges."""
-    term = electric_edge_term(g2)
-    return sum(embed_edge_operator(term, e) for e in range(N_EDGES))
+    """Sum of the per-edge electric terms over all four edges, diagonal."""
+    return np.diag(_electric_diagonal(g2)).astype(complex)
 
 
 @lru_cache(maxsize=None)
@@ -125,37 +129,3 @@ def magnetic_hamiltonian(g2: float = 1.0) -> np.ndarray:
     p = magnetic_plaquette_matrix()
     return -(p + p.conj().T) / (2.0 * g2)
 
-
-_MC_CHUNK = 2000
-
-
-def haar_mc_oracle(n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Monte Carlo estimate of the plaquette-trace matrix.
-
-    Draws Haar-random (g0, g1, g2, g3), evaluates the normalized Wigner
-    functions sqrt(d_j) D^j_mn(g_e) on each edge and the plaquette trace
-    tr(g0 g1 g2 g3), and averages the induced outer products.  Converges to
-    ``magnetic_plaquette_matrix()`` at the usual 1/sqrt(n) rate.
-
-    Samples are drawn in fixed-size chunks from the caller's RNG, so a given
-    (seed, n_samples) pair is reproducible.
-    """
-    _check_count(n_samples, "n_samples")
-    total = np.zeros((EDGE_DIM**4, EDGE_DIM**4), dtype=complex)
-    done = 0
-    while done < n_samples:
-        size = min(_MC_CHUNK, n_samples - done)
-        gs = [haar_batch(rng, size) for _ in range(N_EDGES)]
-        # per-edge Wigner vectors: [1, sqrt(2) g_mn] in (m,n) row-major order
-        vs = []
-        for g in gs:
-            v = np.empty((size, EDGE_DIM), dtype=complex)
-            v[:, 0] = 1.0
-            v[:, 1:] = np.sqrt(2.0) * g.reshape(size, 4)
-            vs.append(v)
-        w = np.einsum("ci,cj,ck,cl->cijkl", *vs).reshape(size, -1)
-        prod = gs[0] @ gs[1] @ gs[2] @ gs[3]
-        tr = np.trace(prod, axis1=1, axis2=2)
-        total += w.conj().T @ (tr[:, None] * w)
-        done += size
-    return total / n_samples

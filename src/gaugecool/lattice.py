@@ -34,7 +34,7 @@ by their four G_z^v values (281 classes, 2,273 entries), which ``pack`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 from types import MappingProxyType
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .su2 import _check_integer_in, spin_matrices, wigner_d
+from .su2 import _check_integer_in, spin_matrices
 
 __all__ = [
     "N_EDGES",
@@ -52,26 +52,21 @@ __all__ = [
     "EDGE_ENDPOINTS",
     "vertex_edges",
     "edge_basis",
-    "edge_state_index",
-    "product_index",
     "vacuum_state",
     "local_view",
     "ChargeClasses",
     "charge_classes",
     "pack",
     "unpack",
-    "embed_edge_operator",
     "lift_pair",
     "gauge_generator",
     "gauge_casimir",
-    "gauge_action",
     "CGEntry",
     "VertexCGBasis",
     "build_cg_basis",
     "pair_edges",
     "pair_cg_basis",
     "singlet_projector",
-    "physical_subspace_basis",
 ]
 
 N_EDGES = 4
@@ -108,20 +103,6 @@ def edge_basis(twice_j_max: int = 1):
 
 
 _EDGE_BASIS = edge_basis(1)
-_EDGE_INDEX = {lab: i for i, lab in enumerate(_EDGE_BASIS)}
-
-
-def edge_state_index(twice_j: int, twice_m: int, twice_n: int) -> int:
-    """Position of |j,m,n> in the 5-dimensional edge basis."""
-    try:
-        return _EDGE_INDEX[(twice_j, twice_m, twice_n)]
-    except KeyError:
-        raise ValueError(f"no edge state (2j,2m,2n)=({twice_j},{twice_m},{twice_n})")
-
-
-def product_index(i0: int, i1: int, i2: int, i3: int) -> int:
-    """Flat index of |i0>|i1>|i2>|i3> in the e0 (x) e1 (x) e2 (x) e3 order."""
-    return ((i0 * EDGE_DIM + i1) * EDGE_DIM + i2) * EDGE_DIM + i3
 
 
 def vacuum_state() -> np.ndarray:
@@ -220,6 +201,13 @@ def charge_classes() -> ChargeClasses:
     return ChargeClasses(stacks, positions)
 
 
+def _check_shape(a, shape: tuple[int, ...], name: str) -> None:
+    """Reject, as a ValueError, an ``a`` whose shape is not ``shape``: a rho
+    is 625x625, a psi 625 long."""
+    if np.shape(a) != shape:
+        raise ValueError(f"{name} must have shape {'x'.join(map(str, shape))}")
+
+
 def pack(rho: np.ndarray) -> np.ndarray | None:
     """rho's values on the ``charge_classes`` entries, or None unless every
     other entry of rho is exactly zero (NaN counts as nonzero)."""
@@ -243,17 +231,6 @@ def unpack(packed: np.ndarray) -> np.ndarray:
     rho = np.zeros(TOTAL_DIM * TOTAL_DIM, dtype=packed.dtype)
     rho[charge_classes().positions] = packed
     return rho.reshape(TOTAL_DIM, TOTAL_DIM)
-
-
-def embed_edge_operator(op: np.ndarray, edge: int) -> np.ndarray:
-    """Kronecker-embed a 5x5 edge operator, identity on the other edges."""
-    op = np.asarray(op)
-    if op.shape != (EDGE_DIM, EDGE_DIM):
-        raise ValueError(f"edge operator must be {EDGE_DIM}x{EDGE_DIM}")
-    _check_edge(edge)
-    eye = np.eye(EDGE_DIM)
-    mats = [op if e == edge else eye for e in range(N_EDGES)]
-    return reduce(np.kron, mats)
 
 
 def _edge_operator(j0_value: float, m_op=np.eye(2), n_op=np.eye(2)) -> np.ndarray:
@@ -322,18 +299,6 @@ def gauge_generator(v: int, axis: str) -> np.ndarray:
 def gauge_casimir(v: int) -> np.ndarray:
     """Quadratic Casimir sum_a G_a^2 of the gauge action at vertex v."""
     return lift_pair(sum(g @ g for g in _pair_generators()), v)
-
-
-def gauge_action(v: int, g: np.ndarray) -> np.ndarray:
-    """Unitary U(g) of the gauge transformation g applied at vertex v."""
-    return lift_pair(_pair_action(g), v)
-
-
-def _pair_action(g: np.ndarray) -> np.ndarray:
-    """The 25x25 pair operator that ``gauge_action`` lifts to a vertex:
-    conj(D(g)) on m of the outgoing edge, D(g) on n of the incoming edge."""
-    d = wigner_d(1, g)
-    return np.kron(_edge_operator(1.0, m_op=np.conj(d)), _edge_operator(1.0, n_op=d))
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +444,3 @@ def singlet_projector(v: int) -> np.ndarray:
     s = pair.basis[:, pair.columns[0, 0][0]]
     return lift_pair(s @ s.conj().T, v)
 
-
-@lru_cache(maxsize=None)
-def physical_subspace_basis() -> np.ndarray:
-    """Orthonormal basis of the subspace annihilated by all four Casimirs."""
-    total = sum(gauge_casimir(v) for v in range(4))
-    evals, evecs = np.linalg.eigh(total)
-    basis = evecs[:, evals < 1e-8]
-    basis.setflags(write=False)
-    return basis

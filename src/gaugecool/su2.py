@@ -32,8 +32,6 @@ __all__ = [
     "cg_isometry",
     "clebsch_gordan",
     "wigner_d",
-    "haar_sample",
-    "haar_batch",
     "pauli_matrices",
     "spherical_pauli",
 ]
@@ -222,28 +220,6 @@ def wigner_d(twice_j: int, g: np.ndarray) -> np.ndarray:
         c = _cg_blocks(tj - 1, 1)[tj]
         d = c.T @ np.kron(d, g) @ c
     return d
-
-
-def haar_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n Haar-distributed SU(2) elements as an (n, 2, 2) array.
-
-    Unit quaternions (a,b,c,d) drawn uniformly on S^3 (normalized Gaussian
-    4-vectors) map to [[a+ib, c+id], [-c+id, a-ib]].
-    """
-    q = rng.standard_normal((n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    a, b, c, d = q.T
-    out = np.empty((n, 2, 2), dtype=complex)
-    out[:, 0, 0] = a + 1j * b
-    out[:, 0, 1] = c + 1j * d
-    out[:, 1, 0] = -c + 1j * d
-    out[:, 1, 1] = a - 1j * b
-    return out
-
-
-def haar_sample(rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed SU(2) element from the caller's RNG."""
-    return haar_batch(rng, 1)[0]
 
 
 @lru_cache(maxsize=None)

@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cooling import _pair_syndrome_operator
-from .lattice import _pair_action, edge_basis, pair_cg_basis, vertex_edges
+from .lattice import edge_basis, pair_cg_basis, vertex_edges
+from .reference import _pair_action, _pair_syndrome_operator
 from .su2 import _check_count, _checked_su2, _twice, wigner_d
 
 __all__ = [

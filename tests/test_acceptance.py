@@ -16,8 +16,6 @@ from gaugecool.cooling import (
     cool_vertex,
     gi_overlap,
     iterative_cooling,
-    recovery_kraus,
-    syndrome_operator,
     syndrome_probabilities,
 )
 from gaugecool.dynamics import (
@@ -31,7 +29,6 @@ from gaugecool.dynamics import (
 )
 from gaugecool.hamiltonian import (
     electric_hamiltonian,
-    haar_mc_oracle,
     magnetic_hamiltonian,
     magnetic_plaquette_matrix,
 )
@@ -45,6 +42,11 @@ from gaugecool.klaudit import (
     residual_pauli_weights,
 )
 from gaugecool.lattice import TOTAL_DIM, gauge_casimir, vacuum_state
+from gaugecool.reference import (
+    haar_mc_oracle,
+    recovery_kraus,
+    syndrome_operator,
+)
 from gaugecool.tdesign import (
     binary_octahedral_design,
     discrete_syndrome_check,

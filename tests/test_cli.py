@@ -180,15 +180,16 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_evolve_and_converge_load_no_audit_module():
-    """klaudit and tdesign serve only kl-audit and check; a run does not pay
-    for compiling them."""
+    """klaudit, tdesign and the reference layer serve only kl-audit, check
+    and the tests; a run does not pay for compiling them."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import os, sys, gaugecool.cli as cli; "
          "cli.main(['evolve', '--cool', 'on', '--steps', '2', '--time', '0.2', "
          "'--out', os.devnull]); "
          "cli.main(['converge', '--max-sweeps', '2', '--out', os.devnull]); "
-         "print(sorted({'gaugecool.klaudit', 'gaugecool.tdesign'} & set(sys.modules)))"],
+         "print(sorted({'gaugecool.klaudit', 'gaugecool.reference', 'gaugecool.tdesign'} "
+         "& set(sys.modules)))"],
         capture_output=True,
         text=True,
         env=CHILD_ENV,

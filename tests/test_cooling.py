@@ -22,8 +22,6 @@ from gaugecool.cooling import (
     cooling_sweep,
     gi_overlap,
     iterative_cooling,
-    recovery_kraus,
-    syndrome_operator,
     syndrome_probabilities,
 )
 from gaugecool.dynamics import (
@@ -31,8 +29,10 @@ from gaugecool.dynamics import (
     TrotterConfig,
     _step_maps,
     apply_noise_all_edges,
+    fidelity,
     hygiene,
     trotter_step,
+    trotter_step_state,
     trotter_unitary,
 )
 from gaugecool.lattice import (
@@ -40,11 +40,17 @@ from gaugecool.lattice import (
     TOTAL_DIM,
     build_cg_basis,
     charge_classes,
+    gauge_casimir,
+    gauge_generator,
     local_view,
-    physical_subspace_basis,
     singlet_projector,
     vacuum_state,
     vertex_edges,
+)
+from gaugecool.reference import (
+    physical_subspace_basis,
+    recovery_kraus,
+    syndrome_operator,
 )
 
 
@@ -163,6 +169,30 @@ def test_probabilities_independent_of_m():
         for tm in range(-tj, tj + 1, 2):
             other = Syndrome(syn.j, Fraction(tm, 2), syn.n)
             assert abs(probs[other] - p) < 1e-12
+
+
+def test_probabilities_match_the_casimir_and_gz_eigenprojectors():
+    """The weights against projectors from no pair form: P_{J,N} spans the
+    joint eigenspace of the dense Casimir (J(J+1)) and G_z (N) at v, found
+    with eigh, and p(J,M,N) = tr(P_{J,N} rho)/(2J+1) for every M."""
+    rho = random_density(np.random.default_rng(13), rank=TOTAL_DIM)
+    for v in range(4):
+        casimir, gz = gauge_casimir(v), gauge_generator(v, "z")
+        evals, evecs = np.linalg.eigh(casimir)
+        want = {}
+        for tj, mu in ((0, 125), (1, 100), (2, 100)):
+            sector = evecs[:, np.abs(evals - tj / 2 * (tj / 2 + 1)) < 1e-8]
+            charges, within = np.linalg.eigh(sector.conj().T @ gz @ sector)
+            for tn in range(-tj, tj + 1, 2):
+                w = sector @ within[:, np.abs(charges - tn / 2) < 1e-8]
+                assert w.shape[1] == mu
+                weight = np.trace(w.conj().T @ rho @ w).real / (tj + 1)
+                for tm in range(-tj, tj + 1, 2):
+                    want[Syndrome(Fraction(tj, 2), Fraction(tm, 2), Fraction(tn, 2))] = weight
+        got = syndrome_probabilities(rho, v)
+        assert got.keys() == want.keys() and len(got) == 14
+        for syn, p in want.items():
+            assert abs(got[syn] - p) <= 1e-12, (v, syn)
 
 
 def test_recovery_kraus_completeness():
@@ -697,19 +727,31 @@ def test_held_of_a_dense_rho_makes_it_dense_again(layout):
 
 
 @pytest.mark.parametrize(
-    "rho, match",
+    "call, rho, match",
     [
-        (np.eye(TOTAL_DIM - 1), "625x625"),
-        (np.eye(TOTAL_DIM).reshape(-1), "625x625"),
-        (np.full((TOTAL_DIM, TOTAL_DIM), np.nan), "non-finite"),
-        (np.diag(np.r_[np.inf, np.zeros(TOTAL_DIM - 1)]), "non-finite"),
-        (np.diag(np.r_[np.zeros(TOTAL_DIM - 1), complex(0, -np.inf)]), "non-finite"),
+        (Held.of, np.eye(TOTAL_DIM - 1), "625x625"),
+        (Held.of, np.eye(TOTAL_DIM).reshape(-1), "625x625"),
+        (Held.of, np.full((TOTAL_DIM, TOTAL_DIM), np.nan), "non-finite"),
+        (Held.of, np.diag(np.r_[np.inf, np.zeros(TOTAL_DIM - 1)]), "non-finite"),
+        (Held.of, np.diag(np.r_[np.zeros(TOTAL_DIM - 1), complex(0, -np.inf)]), "non-finite"),
+        (lambda rho: fidelity(rho, vacuum_state()), np.eye(5) / 5, "625x625"),
+        (lambda psi: fidelity(np.eye(TOTAL_DIM) / TOTAL_DIM, psi), np.ones(5),
+         "psi must have shape 625$"),
+        (lambda rho: trotter_step(rho, TrotterConfig()), np.eye(5) / 5, "625x625"),
+        (lambda rho: trotter_step(rho, TrotterConfig()), np.eye(TOTAL_DIM + 1), "625x625"),
+        (lambda psi: trotter_step_state(psi, TrotterConfig()), np.ones(5),
+         "psi must have shape 625$"),
     ],
-    ids=["624x624", "flat", "all_nan", "inf_at_0_0", "minus_inf_imaginary_last"],
+    ids=["624x624", "flat", "all_nan", "inf_at_0_0", "minus_inf_imaginary_last",
+         "fidelity_5x5", "fidelity_psi_5", "trotter_step_5x5", "trotter_step_626x626",
+         "trotter_step_state_5"],
 )
-def test_held_of_refuses_a_bad_rho(rho, match):
+def test_held_of_refuses_a_bad_rho(call, rho, match):
+    """``Held.of`` refuses a rho of another shape than 625x625 or with a
+    non-finite entry; ``fidelity``, ``trotter_step`` and ``trotter_step_state``
+    run its shape check on rho and psi too."""
     with pytest.raises(ValueError, match=match):
-        Held.of(rho)
+        call(rho)
 
 
 def test_iterative_cooling_validation():

@@ -14,10 +14,7 @@ from gaugecool.cli import main
 from gaugecool.dynamics import (
     NoiseSpec,
     TrotterConfig,
-    amplitude_damping_channel,
-    apply_edge_kraus,
     apply_noise_all_edges,
-    depolarizing_channel,
     fidelity,
     herm_expm,
     hygiene,
@@ -26,7 +23,6 @@ from gaugecool.dynamics import (
     trotter_unitary,
     _class_trotter,
     _components,
-    _damping_kraus,
 )
 from gaugecool.hamiltonian import _plaquette_entries, electric_hamiltonian, magnetic_hamiltonian
 from gaugecool.lattice import (
@@ -36,9 +32,15 @@ from gaugecool.lattice import (
     ChargeClasses,
     charge_classes,
     pack,
-    product_index,
     singlet_projector,
     vacuum_state,
+)
+from gaugecool.reference import (
+    _damping_kraus,
+    amplitude_damping_channel,
+    apply_edge_kraus,
+    depolarizing_channel,
+    product_index,
 )
 
 

